@@ -1612,12 +1612,15 @@ fn conf_inputs(
             let (x, y) = (PolicyKind::Lru, PolicyKind::Dip);
             let pop = ctx.population(2)?;
             let workloads = pop.workloads().to_vec();
-            let tx = ctx.detailed_table(2, x, &workloads)?.throughputs(metric);
-            let ty = ctx.detailed_table(2, y, &workloads)?.throughputs(metric);
+            let tables = ctx.detailed_tables(2, &[x, y], &workloads)?;
             let strata_diffs = ctx.badco_pair_data(2, x, y, metric)?.differences();
             ConfInputs {
                 pop,
-                data: PairData::new(metric, tx, ty),
+                data: PairData::new(
+                    metric,
+                    tables[0].throughputs(metric),
+                    tables[1].throughputs(metric),
+                ),
                 strata_diffs,
             }
         }

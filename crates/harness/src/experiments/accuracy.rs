@@ -182,23 +182,30 @@ impl std::fmt::Display for CpiAccuracyReport {
 /// Runs `accuracy_workloads` random workloads per core count through both
 /// simulators under LRU and compares per-thread CPIs (paper Figure 2).
 pub fn fig2(ctx: &StudyContext) -> Result<CpiAccuracyReport, Error> {
-    let mut points = Vec::new();
     let n_workloads = ctx.scale.accuracy_workloads;
+    let mut drawn = Vec::new();
     for cores in [2usize, 4] {
         let space = mps_sampling::WorkloadSpace::new(22, cores);
         let mut rng = ctx.rng(0xF162 ^ cores as u64);
         for _ in 0..n_workloads.div_ceil(2) {
-            let w = space.random_workload(&mut rng);
-            let det = ctx.detailed_run(cores, PolicyKind::Lru, &w)?;
-            let bad = ctx.badco_run(cores, PolicyKind::Lru, &w)?;
-            for (k, &b) in w.benchmarks().iter().enumerate() {
-                points.push(CpiPoint {
-                    cores,
-                    benchmark: ctx.suite()[b as usize].name().to_owned(),
-                    detailed_cpi: 1.0 / det.ipc[k],
-                    badco_cpi: 1.0 / bad[k],
-                });
-            }
+            drawn.push((cores, space.random_workload(&mut rng)));
+        }
+    }
+    let cells: Vec<_> = drawn
+        .iter()
+        .map(|(cores, w)| (*cores, PolicyKind::Lru, w))
+        .collect();
+    let runs = ctx.detailed_runs(&cells)?;
+    let mut points = Vec::new();
+    for ((cores, w), det) in drawn.iter().zip(runs) {
+        let bad = ctx.badco_run(*cores, PolicyKind::Lru, w)?;
+        for (k, &b) in w.benchmarks().iter().enumerate() {
+            points.push(CpiPoint {
+                cores: *cores,
+                benchmark: ctx.suite()[b as usize].name().to_owned(),
+                detailed_cpi: 1.0 / det.ipc[k],
+                badco_cpi: 1.0 / bad[k],
+            });
         }
     }
     Ok(CpiAccuracyReport { points })

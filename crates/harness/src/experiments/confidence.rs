@@ -480,13 +480,12 @@ pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     let workloads = pop.workloads().to_vec();
 
     // Detailed-simulator throughputs over the full 253-workload population.
-    let tx = ctx
-        .detailed_table(cores, x, &workloads)?
-        .throughputs(metric);
-    let ty = ctx
-        .detailed_table(cores, y, &workloads)?
-        .throughputs(metric);
-    let detailed_data = PairData::new(metric, tx, ty);
+    let tables = ctx.detailed_tables(cores, &[x, y], &workloads)?;
+    let detailed_data = PairData::new(
+        metric,
+        tables[0].throughputs(metric),
+        tables[1].throughputs(metric),
+    );
 
     // Strata are defined from the approximate (BADCO) differences.
     let badco_data = ctx.badco_pair_data(cores, x, y, metric)?;

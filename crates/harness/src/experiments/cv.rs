@@ -121,12 +121,12 @@ pub fn fig4(ctx: &StudyContext) -> Result<InvCvReport, mps_store::Error> {
     let idx = rng.sample_indices(pop.len(), sample_size);
     let sample: Vec<Workload> = idx.iter().map(|&i| pop.workloads()[i].clone()).collect();
 
-    // Detailed tables per policy over the sample.
-    let mut detailed_t = std::collections::HashMap::new();
-    for p in ctx.policies() {
-        let table = ctx.detailed_table(cores, p, &sample)?;
-        detailed_t.insert(p, table);
-    }
+    // Detailed tables per policy over the sample, all in one fan-out.
+    let policies = ctx.policies();
+    let detailed_t: std::collections::HashMap<_, _> = policies
+        .into_iter()
+        .zip(ctx.detailed_tables(cores, &policies, &sample)?)
+        .collect();
 
     let mut rows = Vec::new();
     for (x, y) in ctx.policy_pairs() {

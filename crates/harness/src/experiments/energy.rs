@@ -70,33 +70,40 @@ pub fn energy(ctx: &StudyContext) -> Result<EnergyReport, mps_store::Error> {
         .map(|i| pop.workloads()[i].clone())
         .collect();
     let model = EnergyModel::nominal();
-    let rows: Result<Vec<EnergyRow>, mps_store::Error> = ctx
-        .policies()
+    let policies = ctx.policies();
+    let cells: Vec<_> = policies
+        .iter()
+        .flat_map(|&policy| sample.iter().map(move |w| (cores, policy, w)))
+        .collect();
+    let runs = ctx.detailed_runs(&cells)?;
+    let n = sample.len();
+    let rows = policies
         .into_iter()
-        .map(|policy| {
+        .enumerate()
+        .map(|(pi, policy)| {
+            let runs = &runs[pi * n..(pi + 1) * n];
             let mut ipc_acc = 0.0;
             let mut ipc_n = 0usize;
             let mut pj_acc = 0.0;
             let mut dram_acc = 0.0;
-            for w in &sample {
-                let r = ctx.detailed_run(cores, policy, w)?;
+            for r in runs {
                 ipc_acc += r.ipc.iter().sum::<f64>();
                 ipc_n += r.ipc.len();
-                let e = energy_of_run(&model, &r);
+                let e = energy_of_run(&model, r);
                 pj_acc += e.pj_per_instruction(r.instructions);
                 dram_acc += e.dram_nj / e.total_nj();
             }
-            Ok(EnergyRow {
+            EnergyRow {
                 policy,
                 mean_ipc: ipc_acc / ipc_n as f64,
                 pj_per_instruction: pj_acc / sample.len() as f64,
                 dram_share: dram_acc / sample.len() as f64,
-            })
+            }
         })
         .collect();
     Ok(EnergyReport {
         workloads: sample.len(),
-        rows: rows?,
+        rows,
     })
 }
 

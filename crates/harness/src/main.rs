@@ -1025,7 +1025,8 @@ fn main() {
                      --metrics-addr (or MPS_METRICS_ADDR) serves live /metrics; \
                      MPS_HEARTBEAT_SECS tunes progress heartbeats (0 = off)\n\
                      --jobs 0 (or omitting the flag) means auto: MPS_JOBS, else all available cores\n\
-                     --batch N runs N detailed-sim combinations in lockstep per worker \
+                     --batch N runs at most N detailed-sim combinations in lockstep per kernel call, \
+                     fewer when a grid has too few cells to give every worker a chunk \
                      (0 or omitted = auto: MPS_BATCH, else 8; 1 = scalar; any N is bit-identical)\n\
                      --store DIR (or MPS_STORE=DIR) persists artifacts and checkpoints; --resume \
                      continues a killed run; --no-store overrides MPS_STORE\n\

@@ -53,6 +53,10 @@ pub fn experiment_uncore(cores: usize, policy: PolicyKind) -> UncoreConfig {
     UncoreConfig::ispass2013_scaled(cores, policy, CAPACITY_SCALE)
 }
 
+/// One detailed-simulation cell: a workload on the `cores`-core
+/// experiment machine under one LLC policy.
+pub(crate) type DetailedCell<'a> = (usize, PolicyKind, &'a Workload);
+
 /// Batch width used when none is requested: wide enough that the batched
 /// kernel's event-horizon skipping and SoA uncore layout pay off, small
 /// enough that `jobs` workers still see plenty of independent chunks on
@@ -239,8 +243,7 @@ pub struct StudyContext {
     /// The scaling preset in effect.
     pub scale: Scale,
     jobs: usize,
-    /// Lanes per batched detailed-kernel call (and the chunk size
-    /// `mps-par` schedules); resolved, always ≥ 1.
+    /// Most lanes per batched detailed-kernel call; resolved, always ≥ 1.
     batch: usize,
     store: Option<Arc<Store>>,
     resume: bool,
@@ -340,9 +343,10 @@ impl StudyContext {
         self.jobs
     }
 
-    /// Lanes per batched detailed-kernel call — also the chunk size the
-    /// worker pool schedules, so `mps-par` hands out *batches* of grid
-    /// cells instead of single cells. Always ≥ 1; `1` is the scalar path.
+    /// The most lanes per batched detailed-kernel call. A grid runs in
+    /// chunks of at most this many cells, narrowed so that it still
+    /// splits into at least one chunk per worker (see
+    /// [`mps_par::chunk_ranges`]). Always ≥ 1; `1` is the scalar path.
     pub fn batch(&self) -> usize {
         self.batch
     }
@@ -424,26 +428,52 @@ impl StudyContext {
         encode: impl Fn(&V) -> Vec<u8>,
         compute: impl FnOnce() -> V,
     ) -> V {
-        let Some(store) = self.store.as_deref() else {
-            return compute();
-        };
-        let key = ArtifactKey::new(kind, self.artifact_spec(extra_spec));
-        if let Some(bytes) = store.get(&key) {
-            match decode(&bytes) {
-                Ok(v) => return v,
-                Err(e) => {
-                    // The record passed the store's integrity checks but
-                    // failed domain decoding: quarantine + recompute.
-                    store.quarantine_key(&key, &e);
-                }
-            }
+        if let Some(v) = self.load(kind, extra_spec, decode) {
+            return v;
         }
         let v = compute();
-        if let Err(e) = store.put(&key, &encode(&v)) {
+        self.persist(kind, extra_spec, &v, encode);
+        v
+    }
+
+    /// The stored copy of `kind`, if a store is configured and holds one
+    /// that decodes; a record that fails decoding is quarantined.
+    fn load<V>(
+        &self,
+        kind: &'static str,
+        extra_spec: &str,
+        decode: impl Fn(&[u8]) -> Result<V, Error>,
+    ) -> Option<V> {
+        let store = self.store.as_deref()?;
+        let key = ArtifactKey::new(kind, self.artifact_spec(extra_spec));
+        let bytes = store.get(&key)?;
+        match decode(&bytes) {
+            Ok(v) => Some(v),
+            Err(e) => {
+                // The record passed the store's integrity checks but
+                // failed domain decoding: quarantine + recompute.
+                store.quarantine_key(&key, &e);
+                None
+            }
+        }
+    }
+
+    /// Writes `v` to the store, if one is configured.
+    fn persist<V>(
+        &self,
+        kind: &'static str,
+        extra_spec: &str,
+        v: &V,
+        encode: impl Fn(&V) -> Vec<u8>,
+    ) {
+        let Some(store) = self.store.as_deref() else {
+            return;
+        };
+        let key = ArtifactKey::new(kind, self.artifact_spec(extra_spec));
+        if let Err(e) = store.put(&key, &encode(v)) {
             // A full disk must not kill a running study.
             eprintln!("warning: could not persist {kind}: {e}");
         }
-        v
     }
 
     /// Opens (or resumes) the checkpoint log for an experiment grid.
@@ -595,23 +625,14 @@ impl StudyContext {
                     let timing =
                         BadcoTiming::from_uncore(&experiment_uncore(cores, PolicyKind::Lru));
                     let trace_len = self.scale.trace_len;
-                    // Batched scheduling: the pool hands each worker a
-                    // chunk of benchmarks; the per-model build itself is
-                    // unchanged, so results stay bit-identical.
-                    mps_par::par_map_batched(self.jobs, &self.suite, self.batch, |start, chunk| {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(k, b)| {
-                                Arc::new(BadcoModel::build(
-                                    b.name(),
-                                    &CoreConfig::ispass2013(),
-                                    &self.trace_cursor_cached(start + k),
-                                    trace_len,
-                                    timing,
-                                ))
-                            })
-                            .collect()
+                    mps_par::par_map_indexed(self.jobs, &self.suite, |i, b| {
+                        Arc::new(BadcoModel::build(
+                            b.name(),
+                            &CoreConfig::ispass2013(),
+                            &self.trace_cursor_cached(i),
+                            trace_len,
+                            timing,
+                        ))
                     })
                 },
             )
@@ -654,22 +675,16 @@ impl StudyContext {
                 crate::persist::decode_f64s,
                 |v| crate::persist::encode_f64s(v),
                 || {
-                    let trace_len = self.scale.trace_len;
-                    let ucfg = experiment_uncore(cores, PolicyKind::Lru);
-                    // Batched kernel over chunks of solo lanes; `run_batch`
-                    // is bit-identical to the per-benchmark scalar runs.
-                    mps_par::par_map_batched(self.jobs, &self.suite, self.batch, |start, chunk| {
-                        let lanes: Vec<Vec<Box<dyn TraceSource>>> = (0..chunk.len())
-                            .map(|k| {
-                                vec![Box::new(self.trace_cursor_cached(start + k))
-                                    as Box<dyn TraceSource>]
-                            })
-                            .collect();
-                        mps_sim_cpu::run_batch(&CoreConfig::ispass2013(), &ucfg, lanes, trace_len)
-                            .into_iter()
-                            .map(|r| r.ipc[0])
-                            .collect()
-                    })
+                    let solo: Vec<Workload> = (0..self.suite.len())
+                        .map(|b| Workload::new(vec![b as u16]))
+                        .collect();
+                    let cells: Vec<DetailedCell<'_>> =
+                        solo.iter().map(|w| (cores, PolicyKind::Lru, w)).collect();
+                    self.detailed_runs(&cells)
+                        .expect("solo workloads index the suite")
+                        .into_iter()
+                        .map(|r| r.ipc[0])
+                        .collect()
                 },
             )
         }))
@@ -751,8 +766,21 @@ impl StudyContext {
         if workloads.is_empty() {
             return Ok(Vec::new());
         }
-        let lanes: Vec<Vec<Box<dyn TraceSource>>> = workloads
-            .iter()
+        Ok(mps_sim_cpu::validation_ipcs_batch(
+            &CoreConfig::ispass2013(),
+            &experiment_uncore(cores, policy),
+            self.lanes(workloads.iter()),
+            self.scale.trace_len,
+        ))
+    }
+
+    /// One lockstep lane per workload: a replay cursor over the memoized
+    /// trace of each of its benchmarks.
+    fn lanes<'w>(
+        &self,
+        workloads: impl Iterator<Item = &'w Workload>,
+    ) -> Vec<Vec<Box<dyn TraceSource>>> {
+        workloads
             .map(|w| {
                 w.benchmarks()
                     .iter()
@@ -761,13 +789,66 @@ impl StudyContext {
                     })
                     .collect()
             })
-            .collect();
-        Ok(mps_sim_cpu::validation_ipcs_batch(
-            &CoreConfig::ispass2013(),
-            &experiment_uncore(cores, policy),
-            lanes,
-            self.scale.trace_len,
-        ))
+            .collect()
+    }
+
+    /// Runs every `(cores, policy, workload)` cell through the detailed
+    /// simulator in one fan-out and returns the results in input order.
+    ///
+    /// Cells that share a machine configuration (core count and policy)
+    /// form a group, and [`mps_par::chunk_ranges`] splits each group into
+    /// lockstep chunks of at most [`Self::batch`] lanes. Every chunk of
+    /// every group is one task of a single [`mps_par::par_map_indexed`]
+    /// call, so a study's small grids keep the whole pool busy instead of
+    /// meeting at a barrier per group. `run_batch` is bit-identical to a
+    /// scalar run per cell, so results cannot tell the chunking. Cell
+    /// latency is attributed evenly across a chunk's lanes.
+    pub(crate) fn detailed_runs(
+        &self,
+        cells: &[DetailedCell<'_>],
+    ) -> Result<Vec<SimResult>, Error> {
+        for &(_, _, w) in cells {
+            self.check_workload(w)?;
+        }
+        let mut groups: Vec<((usize, PolicyKind), Vec<usize>)> = Vec::new();
+        for (i, &(cores, policy, _)) in cells.iter().enumerate() {
+            match groups.iter_mut().find(|(key, _)| *key == (cores, policy)) {
+                Some((_, members)) => members.push(i),
+                None => groups.push(((cores, policy), vec![i])),
+            }
+        }
+        let mut chunks: Vec<((usize, PolicyKind), &[usize])> = Vec::new();
+        for (key, members) in &groups {
+            let ranges = mps_par::chunk_ranges(members.len(), self.jobs, self.batch);
+            mps_par::record_fill(&ranges);
+            chunks.extend(ranges.into_iter().map(|r| (*key, &members[r])));
+        }
+        let cell_hist = mps_obs::histogram("table.cell.latency_us");
+        let runs =
+            mps_par::par_map_indexed(self.jobs, &chunks, |_, &((cores, policy), members)| {
+                let started = std::time::Instant::now();
+                let out = mps_sim_cpu::run_batch(
+                    &CoreConfig::ispass2013(),
+                    &experiment_uncore(cores, policy),
+                    self.lanes(members.iter().map(|&i| cells[i].2)),
+                    self.scale.trace_len,
+                );
+                let per_cell = started.elapsed() / members.len() as u32;
+                for _ in members {
+                    cell_hist.record_duration(per_cell);
+                }
+                out
+            });
+        let mut slots: Vec<Option<SimResult>> = (0..cells.len()).map(|_| None).collect();
+        for ((_, members), results) in chunks.iter().zip(runs) {
+            for (&i, r) in members.iter().zip(results) {
+                slots[i] = Some(r);
+            }
+        }
+        Ok(slots
+            .into_iter()
+            .map(|r| r.expect("every cell runs in exactly one chunk"))
+            .collect())
     }
 
     /// Runs one workload under one policy with the detailed simulator.
@@ -809,21 +890,12 @@ impl StudyContext {
                 || {
                     let workloads: Vec<Workload> = pop.workloads().to_vec();
                     let cell_hist = mps_obs::histogram("table.cell.latency_us");
-                    // Batched scheduling: chunks of cells per pool task
-                    // (the BADCO cell itself is already model-level, so
-                    // batching here only coarsens the scheduling unit).
-                    let rows =
-                        mps_par::par_map_batched(self.jobs, &workloads, self.batch, |_, chunk| {
-                            chunk
-                                .iter()
-                                .map(|w| {
-                                    let started = std::time::Instant::now();
-                                    let ipcs = Self::badco_run_with(&models, cores, policy, w);
-                                    cell_hist.record_duration(started.elapsed());
-                                    ipcs
-                                })
-                                .collect()
-                        });
+                    let rows = mps_par::par_map_indexed(self.jobs, &workloads, |_, w| {
+                        let started = std::time::Instant::now();
+                        let ipcs = Self::badco_run_with(&models, cores, policy, w);
+                        cell_hist.record_duration(started.elapsed());
+                        ipcs
+                    });
                     let mut table = PerfTable::new(refs.clone());
                     for (w, ipcs) in workloads.iter().zip(rows) {
                         table.push(WorkloadPerf::new(
@@ -848,6 +920,19 @@ impl StudyContext {
         policy: PolicyKind,
         workloads: &[Workload],
     ) -> Result<PerfTable, Error> {
+        Ok(self.detailed_tables(cores, &[policy], workloads)?.remove(0))
+    }
+
+    /// [`Self::detailed_table`] for several policies over the same
+    /// workloads, one table per policy in `policies` order. Each table
+    /// keeps its own store key; every policy the store does not hold is
+    /// simulated in one fan-out over all its `(policy, workload)` cells.
+    pub fn detailed_tables(
+        &self,
+        cores: usize,
+        policies: &[PolicyKind],
+        workloads: &[Workload],
+    ) -> Result<Vec<PerfTable>, Error> {
         for w in workloads {
             self.check_workload(w)?;
         }
@@ -862,60 +947,44 @@ impl StudyContext {
             }
             mps_store::fnv1a64(&bytes)
         };
-        Ok(self.load_or_compute(
-            "detailed-table",
-            &format!("cores={cores};policy={policy:?};wl={wl_hash:016x}"),
-            crate::persist::decode_perf_table,
-            crate::persist::encode_perf_table,
-            || {
-                let cell_hist = mps_obs::histogram("table.cell.latency_us");
-                let trace_len = self.scale.trace_len;
-                let ucfg = experiment_uncore(cores, policy);
-                // Batched kernel over chunks of workload cells: B lanes
-                // advance in lockstep over the shared memoized traces.
-                // `run_batch` is bit-identical to per-cell scalar runs,
-                // so the table cannot tell the batch width. Cell latency
-                // is attributed evenly across the chunk's lanes.
-                let rows =
-                    mps_par::par_map_batched(self.jobs, workloads, self.batch, |_, chunk| {
-                        let started = std::time::Instant::now();
-                        let lanes: Vec<Vec<Box<dyn TraceSource>>> = chunk
-                            .iter()
-                            .map(|w| {
-                                w.benchmarks()
-                                    .iter()
-                                    .map(|&b| {
-                                        Box::new(self.trace_cursor_cached(b as usize))
-                                            as Box<dyn TraceSource>
-                                    })
-                                    .collect()
-                            })
-                            .collect();
-                        let out: Vec<Vec<f64>> = mps_sim_cpu::run_batch(
-                            &CoreConfig::ispass2013(),
-                            &ucfg,
-                            lanes,
-                            trace_len,
-                        )
-                        .into_iter()
-                        .map(|r| r.ipc)
-                        .collect();
-                        let per_cell = started.elapsed() / chunk.len().max(1) as u32;
-                        for _ in 0..chunk.len() {
-                            cell_hist.record_duration(per_cell);
-                        }
-                        out
-                    });
-                let mut table = PerfTable::new(refs.clone());
-                for (w, ipc) in workloads.iter().zip(rows) {
-                    table.push(WorkloadPerf::new(
-                        w.benchmarks().iter().map(|&b| b as usize).collect(),
-                        ipc,
-                    ));
-                }
-                table
-            },
-        ))
+        let spec = |p: PolicyKind| format!("cores={cores};policy={p:?};wl={wl_hash:016x}");
+        let mut tables: Vec<Option<PerfTable>> = policies
+            .iter()
+            .map(|&p| {
+                self.load(
+                    "detailed-table",
+                    &spec(p),
+                    crate::persist::decode_perf_table,
+                )
+            })
+            .collect();
+        let cells: Vec<DetailedCell<'_>> = policies
+            .iter()
+            .zip(&tables)
+            .filter(|(_, t)| t.is_none())
+            .flat_map(|(&p, _)| workloads.iter().map(move |w| (cores, p, w)))
+            .collect();
+        let mut runs = self.detailed_runs(&cells)?.into_iter();
+        for (&p, slot) in policies.iter().zip(&mut tables) {
+            if slot.is_some() {
+                continue;
+            }
+            let mut table = PerfTable::new(refs.clone());
+            for (w, r) in workloads.iter().zip(runs.by_ref()) {
+                table.push(WorkloadPerf::new(
+                    w.benchmarks().iter().map(|&b| b as usize).collect(),
+                    r.ipc,
+                ));
+            }
+            self.persist(
+                "detailed-table",
+                &spec(p),
+                &table,
+                crate::persist::encode_perf_table,
+            );
+            *slot = Some(table);
+        }
+        Ok(tables.into_iter().flatten().collect())
     }
 
     /// Pair data (per-workload throughputs of X and Y) under a metric from
@@ -1112,6 +1181,47 @@ mod tests {
         assert_eq!(refs_warm, refs_cold);
         let stats = warm.store_stats().unwrap();
         assert!(stats.hits >= 2, "warm run must hit the store: {stats:?}");
+    }
+
+    #[test]
+    fn detailed_tables_keep_per_policy_store_keys() {
+        let dir = std::env::temp_dir().join(format!(
+            "mps-runner-tables-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let build = || {
+            crate::StudyBuilder::new()
+                .scale(Scale::test())
+                .jobs(2)
+                .store(&dir)
+                .build()
+                .unwrap()
+        };
+        let cold = build();
+        let ws: Vec<Workload> = cold.population(2).unwrap().workloads()[..5].to_vec();
+        let lru = cold.detailed_table(2, PolicyKind::Lru, &ws).unwrap();
+
+        // The warm context finds the LRU table under its one-policy key
+        // and simulates (and stores) only the DIP table.
+        let warm = build();
+        let both = warm
+            .detailed_tables(2, &[PolicyKind::Lru, PolicyKind::Dip], &ws)
+            .unwrap();
+        let stats = warm.store_stats().unwrap();
+        assert_eq!(
+            stats.puts, 1,
+            "only the missing policy is stored: {stats:?}"
+        );
+        assert_eq!(both[0], lru);
+        assert_eq!(
+            both[1],
+            StudyContext::new(Scale::test())
+                .detailed_table(2, PolicyKind::Dip, &ws)
+                .unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

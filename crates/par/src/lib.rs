@@ -364,9 +364,33 @@ where
     par_map_indexed(jobs, &units, |i, ()| f(i))
 }
 
-/// Applies `f` to consecutive `batch`-sized chunks of `items` (the last
-/// chunk may be shorter) using up to `jobs` workers, flattening the
-/// per-chunk result vectors back into **input-index order**.
+/// Splits a lockstep grid of `n` items for `jobs` workers into
+/// contiguous, near-equal chunks of at most `batch` items each, so
+/// batching cannot leave a worker idle on a small grid: the chunk count
+/// is the fewest the width cap allows, rounded up to a multiple of
+/// `jobs` (every worker gets the same number of chunks) and capped at
+/// `n`. There are thus never fewer than `min(n, jobs)` chunks. Chunk
+/// lengths differ by at most one; the first chunks take the extra items.
+pub fn chunk_ranges(n: usize, jobs: usize, batch: usize) -> Vec<std::ops::Range<usize>> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let jobs = jobs.max(1);
+    let k = (n.div_ceil(batch.max(1)).div_ceil(jobs) * jobs).min(n);
+    let (base, extra) = (n / k, n % k);
+    let mut lo = 0;
+    (0..k)
+        .map(|i| {
+            let len = base + usize::from(i < extra);
+            lo += len;
+            lo - len..lo
+        })
+        .collect()
+}
+
+/// Applies `f` to the [`chunk_ranges`] chunks of `items` (at most `batch`
+/// items each) using up to `jobs` workers, flattening the per-chunk
+/// result vectors back into **input-index order**.
 ///
 /// The scheduling unit is the whole chunk, so a batched kernel can
 /// advance all of a chunk's items in lockstep; `f(start, chunk)` gets
@@ -377,33 +401,38 @@ where
 /// batch-invariant (as `run_batch` is by construction).
 ///
 /// Records each chunk's lane occupancy in the `batch.fill_permille`
-/// histogram (`1000` = full batch, less for the ragged tail chunk).
+/// histogram, against the widest chunk of this call (`1000` = as full as
+/// the widest chunk, less for the shorter ones).
 pub fn par_map_batched<T, R, F>(jobs: usize, items: &[T], batch: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &[T]) -> Vec<R> + Sync,
 {
-    let batch = batch.max(1);
-    let fill = mps_obs::histogram("batch.fill_permille");
-    let chunks: Vec<(usize, &[T])> = items
-        .chunks(batch)
-        .enumerate()
-        .map(|(k, c)| {
-            fill.record((c.len() * 1000 / batch) as u64);
-            (k * batch, c)
-        })
-        .collect();
-    let out = par_map_indexed(jobs, &chunks, |_, &(start, chunk)| {
-        let r = f(start, chunk);
+    let ranges = chunk_ranges(items.len(), jobs, batch);
+    record_fill(&ranges);
+    let out = par_map_indexed(jobs, &ranges, |_, r| {
+        let chunk = &items[r.clone()];
+        let out = f(r.start, chunk);
         assert_eq!(
-            r.len(),
+            out.len(),
             chunk.len(),
             "batched map must return one result per item"
         );
-        r
+        out
     });
     out.into_iter().flatten().collect()
+}
+
+/// Records the lane occupancy of `chunks` in the `batch.fill_permille`
+/// histogram, each against the widest of them — the width the call
+/// actually used, which is at most the configured batch.
+pub fn record_fill(chunks: &[std::ops::Range<usize>]) {
+    let width = chunks.iter().map(ExactSizeIterator::len).max().unwrap_or(1);
+    let fill = mps_obs::histogram("batch.fill_permille");
+    for c in chunks {
+        fill.record((c.len() * 1000 / width) as u64);
+    }
 }
 
 /// A shared queue of grid-cell indices for coordinator-style dispatch:
@@ -560,6 +589,28 @@ mod tests {
                         .collect()
                 });
                 assert_eq!(got, expect, "jobs={jobs} batch={batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_chunks_are_pool_sized() {
+        for n in 0..=40usize {
+            let items: Vec<usize> = (0..n).collect();
+            let expect: Vec<usize> = items.iter().map(|x| x * 5 + 3).collect();
+            for jobs in [1, 2, 3, 4, 8] {
+                for batch in [1, 4, 8, 16] {
+                    let widths = Mutex::new(Vec::new());
+                    let got = par_map_batched(jobs, &items, batch, |_, chunk| {
+                        widths.lock().unwrap().push(chunk.len());
+                        chunk.iter().map(|x| x * 5 + 3).collect()
+                    });
+                    let widths = widths.into_inner().unwrap();
+                    let tag = format!("n={n} jobs={jobs} batch={batch}");
+                    assert!(widths.iter().all(|&w| w <= batch), "{tag}: {widths:?}");
+                    assert!(widths.len() >= n.min(jobs), "{tag}: {widths:?}");
+                    assert_eq!(got, expect, "{tag}");
+                }
             }
         }
     }

@@ -124,9 +124,10 @@ fn batched_kernel_artifacts_are_batch_and_jobs_invariant() {
     // artifacts at any `--batch` width: a lane inside a batched call runs
     // the same cycle-by-cycle schedule as a scalar `MulticoreSim::run`.
     // fig3/fig6/fig7 exercise the population + throughput-table + detailed
-    // confidence loops, and the validation sweep covers the remaining
-    // detailed path; all must reproduce the batch=1 rendering exactly,
-    // whatever batch width and worker count schedule the cells.
+    // confidence loops, fig4/energy/fig2 the multi-policy and mixed
+    // core-count detailed fan-outs, and the validation sweep covers the
+    // remaining detailed path; all must reproduce the batch=1 rendering
+    // exactly, whatever batch width and worker count schedule the cells.
     let opts = mps::harness::ValidateOptions {
         core_counts: vec![2],
         policies: vec![mps::uncore::PolicyKind::Lru],
@@ -143,10 +144,21 @@ fn batched_kernel_artifacts_are_batch_and_jobs_invariant() {
             .unwrap();
         assert_eq!(ctx.batch(), batch);
         let validate = mps::harness::validate::run(&ctx, &opts).unwrap();
+        let fig4 = exp::fig4(&ctx).unwrap();
+        let fig2 = exp::fig2(&ctx).unwrap();
+        let energy = exp::energy(&ctx).unwrap();
         vec![
             ("fig3.csv", exp::fig3(&ctx).unwrap().csv()),
             ("fig6.csv", exp::fig6(&ctx).unwrap().csv()),
             ("fig7.csv", exp::fig7(&ctx).unwrap().csv()),
+            ("fig4.txt", fig4.to_string()),
+            ("fig4.csv", fig4.csv()),
+            ("fig2.txt", fig2.to_string()),
+            ("fig2.csv", fig2.csv()),
+            ("energy.txt", energy.to_string()),
+            // The energy report has no CSV export; its Debug rendering
+            // carries every value at full precision instead.
+            ("energy.debug", format!("{energy:?}")),
             ("validate.jsonl", validate.to_jsonl()),
             ("validate.csv", validate.csv()),
         ]
