@@ -23,8 +23,8 @@
 //! on, `counters`/`histogram`/`gauge` stay within a few relaxed atomic
 //! operations of the baseline, and `estimator` within a mutex+FP update.
 //!
-//! A reference snapshot of both feature configurations (MPS_BENCH_FAST,
-//! dev container) lives in `benches/results/obs_overhead.md`.
+//! A reference snapshot of both feature configurations (default
+//! sampling, 2-CPU container) lives in `benches/results/obs_overhead.md`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -169,12 +169,11 @@ pub fn empirical_confidence_jobs(
 /// [`empirical_confidence_jobs`] with the single base draw made explicit.
 ///
 /// The caller supplies the `base` value that would otherwise be drawn
-/// from the stream. This is the checkpoint/resume entry point: an
-/// experiment grid can advance its RNG stream past an already-completed
-/// cell (one `next_u64` per cell) and skip the evaluation entirely,
-/// while a cell that *is* evaluated — in the original run or a resumed
-/// one — sees exactly the same `base` and therefore produces a
-/// bit-identical confidence.
+/// from the stream. This is the grid-cell entry point: an experiment
+/// grid draws one `base` per cell up front and ships it inside the
+/// cell's descriptor, so a cell evaluated anywhere — in the original
+/// run, a resumed one or a worker process — sees exactly the same
+/// `base` and therefore produces a bit-identical confidence.
 ///
 /// # Panics
 ///

@@ -2,8 +2,8 @@
 //! [`StudyContext`] (API v1).
 //!
 //! Every run knob lives here — scale, jobs, batch, store, resume,
-//! isolation budget (timeout/retries) and distribution (workers,
-//! listen address, lease TTL):
+//! isolation retries and distribution (workers, listen address, lease
+//! TTL):
 //!
 //! ```no_run
 //! use mps_harness::{Scale, StudyContext};
@@ -43,7 +43,6 @@ pub struct StudyBuilder {
     batch: Option<usize>,
     store: Option<PathBuf>,
     resume: bool,
-    timeout: Option<Duration>,
     retries: u32,
     workers: usize,
     dist_addr: Option<String>,
@@ -83,7 +82,7 @@ impl StudyBuilder {
 
     /// Attaches a persistent artifact store rooted at `path` (created if
     /// absent). Expensive artifacts are then loaded-or-computed across
-    /// processes, and experiment grids checkpoint their progress there.
+    /// processes, and experiment grids store each finished cell there.
     pub fn store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
         self
@@ -96,24 +95,17 @@ impl StudyBuilder {
         self
     }
 
-    /// Whether experiment grids resume from checkpoint logs left by an
-    /// interrupted run (default: `false`, which truncates stale logs).
-    /// Only meaningful together with [`Self::store`].
+    /// Whether experiment grids reuse the cell results an interrupted
+    /// run left in the store (default: `false`: every cell is evaluated
+    /// afresh). Only meaningful together with [`Self::store`].
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
     }
 
-    /// Wall-clock budget per isolated experiment attempt (`--timeout`;
-    /// default: none). Read back via
-    /// [`StudyContext::isolate_options`].
-    pub fn timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Extra attempts after a failed isolated experiment (`--retries`;
-    /// default: 0 = fail fast).
+    /// default: 0 = fail fast). Read back via
+    /// [`StudyContext::isolate_options`].
     pub fn retries(mut self, retries: u32) -> Self {
         self.retries = retries;
         self
@@ -174,7 +166,6 @@ impl StudyBuilder {
             store,
             self.resume,
         );
-        ctx.timeout = self.timeout;
         ctx.retries = self.retries;
         if self.workers > 0 || self.dist_addr.is_some() {
             let opts = DistOptions {

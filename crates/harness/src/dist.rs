@@ -4,14 +4,16 @@
 //!
 //! # Architecture
 //!
-//! The unit of distribution is the **grid cell** — the same unit the
-//! checkpoint log records. An experiment enumerates its cells up front as
-//! [`DistCell`] descriptors (each carrying its pre-drawn RNG base, so the
-//! value is a pure function of the descriptor), then calls [`run_grid`]:
+//! The unit of distribution is the **grid cell**. An experiment
+//! enumerates its cells up front as self-sufficient [`CellDesc`]
+//! descriptors (each carrying its pre-drawn RNG base or its workload, so
+//! the value is a pure function of the descriptor), then calls
+//! [`run_grid`]. Every cell, wherever it runs, is computed by one
+//! evaluator, [`eval_cells`]:
 //!
-//! * without a coordinator, cells evaluate sequentially in-process via
-//!   the caller's `local_eval` closure — byte-for-byte the pre-existing
-//!   single-process path (checkpoint replay included);
+//! * without a coordinator, the pending cells run in-process in the
+//!   chunks [`mps_par::chunk_ranges`] gives, one [`eval_cells`] call per
+//!   chunk;
 //! * with a coordinator, one dispatcher thread per connected worker pops
 //!   cell indices off a shared [`mps_par::CellQueue`] and round-trips
 //!   them over TCP. Workers claim each cell's **lease** (see
@@ -22,11 +24,15 @@
 //!   cells still unassigned when every worker is gone are computed by the
 //!   coordinator itself, so a run *always* completes.
 //!
-//! The coordinator alone writes checkpoints and performs the same
-//! index-ordered merge as the local path, so artifacts are byte-identical
-//! for any worker count, any `--jobs` and any `--batch`. The
-//! content-addressed store is the shared result exchange: workers warm it
-//! with the expensive artifacts (BADCO tables, detailed tables,
+//! Each finished cell becomes an ordinary store artifact of kind `cell`,
+//! keyed by the context's artifact spec, the grid and the descriptor's
+//! wire fields. Only the process that merges the grid (the inline loop or
+//! the coordinator) writes them, and they are read back only under
+//! `--resume`, so the store is the only memo of a killed run. The merge
+//! is index-ordered on both paths, so artifacts are byte-identical for
+//! any worker count, any `--jobs` and any `--batch`. The
+//! content-addressed store is also the shared result exchange: workers
+//! warm it with the expensive artifacts (BADCO tables, detailed tables,
 //! references) via [`prefetch`] tasks, and both sides load the same
 //! bytes back. Remote workers must therefore see the same store
 //! directory (shared filesystem) as the coordinator.
@@ -72,7 +78,7 @@
 //! `MPS_DIST_TELEMETRY=0` disables shipping entirely. Artifacts stay
 //! byte-identical in every case.
 
-use crate::runner::StudyContext;
+use crate::runner::{DetailedCell, StudyContext};
 use crate::scale::Scale;
 use mps_badco::BadcoModel;
 use mps_metrics::ThroughputMetric;
@@ -80,9 +86,9 @@ use mps_obs::federation::{delta_since, InstrumentSnapshot, TelemetryDelta};
 use mps_obs::jsonl::{encode_event, encode_span_tagged, parse as parse_jsonl, Record};
 use mps_sampling::{
     empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, PairData,
-    Population, RandomSampling, Sampler, Workload, WorkloadSpace, WorkloadStratification,
+    Population, RandomSampling, Sampler, Workload, WorkloadStratification,
 };
-use mps_store::{Checkpoint, Claim, Error, Lease, LeaseBoard, Store};
+use mps_store::{ArtifactKey, Claim, Error, Lease, LeaseBoard, Store};
 use mps_uncore::PolicyKind;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write as _};
@@ -103,10 +109,28 @@ pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
 /// falling back to local evaluation.
 const WORKER_WAIT: Duration = Duration::from_secs(10);
 
+/// Test hook: the merging process `abort()`s right after writing its
+/// N-th cell artifact, simulating a SIGKILL at a deterministic point in
+/// the grid for the kill-and-resume tests.
+const ABORT_AFTER_ENV: &str = "MPS_ABORT_AFTER_CELLS";
+
 /// Test hook: a worker exits abruptly (leaving its lease held) just
-/// before reporting its N-th completed cell. Mirrors the checkpoint
-/// layer's `MPS_ABORT_AFTER_CELLS` fault-injection precedent.
+/// before reporting its N-th completed cell, like [`ABORT_AFTER_ENV`]
+/// does for the merging process.
 const EXIT_AFTER_ENV: &str = "MPS_DIST_EXIT_AFTER_CELLS";
+
+/// Set by the coordinator when it re-executes a test binary as a worker
+/// (see [`WorkerLaunch::TestEntry`]): the address to connect to.
+pub const WORKER_CONNECT_ENV: &str = "MPS_DIST_CONNECT";
+
+/// The worker id passed alongside [`WORKER_CONNECT_ENV`].
+pub const WORKER_ID_ENV: &str = "MPS_DIST_WORKER_ID";
+
+/// The libtest filter that selects a test binary's worker entry point.
+/// A test binary that spawns workers must define a `#[test] fn
+/// dist_worker_entry` that calls [`worker_main`] when
+/// [`WORKER_CONNECT_ENV`] is set and returns at once otherwise.
+pub const WORKER_TEST_ENTRY: &str = "dist_worker_entry";
 
 /// `=0` disables worker→coordinator telemetry shipping entirely (no
 /// chunks built, nothing counted lost). Results are unaffected either
@@ -129,7 +153,7 @@ const STRAGGLER_ALPHA: f64 = 0.3;
 /// Which pair data a confidence cell resamples. The tag fully determines
 /// outcome data, strata source and population, so a worker can rebuild
 /// the inputs from its own store-backed context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfSource {
     /// Figure 3: BADCO DIP-vs-DRRIP under WSU at `cores`.
     Fig3 {
@@ -181,17 +205,9 @@ pub enum PrefetchKind {
     },
 }
 
-impl PrefetchKind {
-    fn tag(&self) -> String {
-        match *self {
-            PrefetchKind::Table { cores, policy } => format!("table;c{cores};{policy}"),
-            PrefetchKind::DetailedTable { cores, policy } => format!("dtable;c{cores};{policy}"),
-            PrefetchKind::Refs { cores } => format!("refs;c{cores}"),
-        }
-    }
-}
-
-/// Wire-serializable description of one distributable cell evaluation.
+/// Wire-serializable, self-sufficient description of one grid cell: the
+/// cell's values are a pure function of the descriptor (and the
+/// context's scale), so any process can evaluate it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellDesc {
     /// One empirical-confidence resampling cell (figures 3/6/7).
@@ -208,16 +224,15 @@ pub enum CellDesc {
         /// Pre-drawn RNG base — the cell's entire entropy.
         base: u64,
     },
-    /// One validation-sweep cell side (per-thread IPCs of one workload).
+    /// One validation-sweep cell side: the per-thread IPCs of one
+    /// workload under one simulator.
     Validate {
         /// Core count.
         cores: usize,
         /// Replacement policy.
         policy: PolicyKind,
-        /// Index of the policy in the sweep's policy list (seed stream).
-        p_idx: usize,
-        /// Workload index within the `(cores, policy)` group.
-        widx: usize,
+        /// Suite indices of the co-scheduled benchmarks.
+        benchmarks: Vec<u16>,
         /// BADCO coefficient perturbation factor.
         perturb: f64,
         /// Which simulator to run.
@@ -231,6 +246,27 @@ pub enum CellDesc {
 }
 
 impl CellDesc {
+    /// How many values the cell evaluates to: one confidence, one IPC
+    /// per thread, or nothing for a prefetch task.
+    pub fn values_len(&self) -> usize {
+        match self {
+            CellDesc::Confidence { .. } => 1,
+            CellDesc::Validate { benchmarks, .. } => benchmarks.len(),
+            CellDesc::Prefetch { .. } => 0,
+        }
+    }
+
+    /// The cell's identity within its grid — its wire fields as
+    /// `key=value` pairs — used as lease id, task id and cell-artifact
+    /// key.
+    pub fn id(&self) -> String {
+        self.fields()
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect::<Vec<_>>()
+            .join(";")
+    }
+
     /// Encodes the descriptor as `dist.task` event fields.
     fn fields(&self) -> Vec<(&'static str, String)> {
         match self {
@@ -262,16 +298,21 @@ impl CellDesc {
             CellDesc::Validate {
                 cores,
                 policy,
-                p_idx,
-                widx,
+                benchmarks,
                 perturb,
                 side,
             } => vec![
                 ("kind", "val".to_owned()),
                 ("cores", cores.to_string()),
                 ("policy", policy.short_name().to_owned()),
-                ("pidx", p_idx.to_string()),
-                ("widx", widx.to_string()),
+                (
+                    "bench",
+                    benchmarks
+                        .iter()
+                        .map(u16::to_string)
+                        .collect::<Vec<_>>()
+                        .join("-"),
+                ),
                 ("perturb", format!("{:016x}", perturb.to_bits())),
                 (
                     "side",
@@ -336,8 +377,11 @@ impl CellDesc {
             "val" => Ok(CellDesc::Validate {
                 cores: num("cores")?,
                 policy: policy("policy")?,
-                p_idx: num("pidx")?,
-                widx: num("widx")?,
+                benchmarks: get("bench")?
+                    .split('-')
+                    .map(|b| b.parse().ok())
+                    .collect::<Option<Vec<u16>>>()
+                    .ok_or_else(|| "bad benchmark list".to_owned())?,
                 perturb: f64::from_bits(
                     u64::from_str_radix(get("perturb")?, 16)
                         .map_err(|_| "bad perturb".to_owned())?,
@@ -368,19 +412,6 @@ impl CellDesc {
             other => Err(format!("unknown cell kind '{other}'")),
         }
     }
-}
-
-/// One distributable cell: a lease/wire id, the checkpoint keys its
-/// values land under (one per value; empty for prefetch tasks), and the
-/// evaluation descriptor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistCell {
-    /// Lease + wire identity; unique within its grid.
-    pub id: String,
-    /// Checkpoint keys, one per produced value.
-    pub keys: Vec<String>,
-    /// How to evaluate the cell anywhere.
-    pub desc: CellDesc,
 }
 
 // ---------------------------------------------------------------------
@@ -459,75 +490,113 @@ fn send_line(stream: &mut TcpStream, name: &str, fields: &[(&str, String)]) -> s
 // The run_grid seam
 // ---------------------------------------------------------------------
 
-/// Replays a cell from the checkpoint iff *every* key is present.
-fn replay(ckpt: Option<&Arc<Checkpoint>>, cell: &DistCell) -> Option<Vec<f64>> {
-    if cell.keys.is_empty() {
-        return None; // prefetch cells are never checkpointed
-    }
-    let ck = ckpt?;
-    cell.keys.iter().map(|k| ck.lookup(k)).collect()
+/// The store key of a cell's result: the context's artifact spec, the
+/// grid and the descriptor's wire fields.
+fn cell_key(ctx: &StudyContext, grid: &str, cell: &CellDesc) -> ArtifactKey {
+    ArtifactKey::new(
+        "cell",
+        ctx.artifact_spec(&format!("grid={grid};{}", cell.id())),
+    )
 }
 
-/// Records a cell's values under its checkpoint keys.
-fn record(ckpt: Option<&Arc<Checkpoint>>, cell: &DistCell, values: &[f64]) {
-    if let Some(ck) = ckpt {
-        for (k, &v) in cell.keys.iter().zip(values) {
-            ck.record(k, v);
+/// A cell's stored result, read only under `--resume`. A record that is
+/// torn, bit-flipped or of the wrong length is quarantined and the cell
+/// recomputed.
+fn load_cell(ctx: &StudyContext, grid: &str, cell: &CellDesc) -> Option<Vec<f64>> {
+    if !ctx.resume() || matches!(cell, CellDesc::Prefetch { .. }) {
+        return None;
+    }
+    let store = ctx.store()?;
+    let key = cell_key(ctx, grid, cell);
+    let decoded = crate::persist::decode_f64s(&store.get(&key)?).and_then(|v| {
+        if v.len() == cell.values_len() {
+            Ok(v)
+        } else {
+            Err(Error::Corrupt {
+                path: cell.id(),
+                detail: format!("{} values, expected {}", v.len(), cell.values_len()),
+            })
+        }
+    });
+    match decoded {
+        Ok(v) => {
+            crate::heartbeat::cell_replayed();
+            Some(v)
+        }
+        Err(e) => {
+            store.quarantine_key(&key, &e);
+            None
         }
     }
 }
 
-/// A caller's single-process evaluator for one cell:
-/// `(index, cell)` → the cell's values.
-pub type LocalEval<'a> = &'a dyn Fn(usize, &DistCell) -> Result<Vec<f64>, Error>;
+/// Writes a finished cell's result to the store (if any) as a `cell`
+/// artifact. Home of the `MPS_ABORT_AFTER_CELLS` kill hook.
+fn store_cell(ctx: &StudyContext, grid: &str, cell: &CellDesc, values: &[f64]) {
+    static WRITTEN: AtomicU64 = AtomicU64::new(0);
+    let Some(store) = ctx.store() else { return };
+    if matches!(cell, CellDesc::Prefetch { .. }) {
+        return;
+    }
+    let key = cell_key(ctx, grid, cell);
+    if let Err(e) = store.put(&key, &crate::persist::encode_f64s(values)) {
+        // A failed write degrades resume, never results.
+        eprintln!("warning: could not persist {grid} cell: {e}");
+    }
+    let n = WRITTEN.fetch_add(1, Ordering::SeqCst) + 1;
+    let limit: Option<u64> = std::env::var(ABORT_AFTER_ENV)
+        .ok()
+        .and_then(|v| v.parse().ok());
+    if limit.is_some_and(|limit| n >= limit) {
+        eprintln!("{ABORT_AFTER_ENV}={n}: simulating a killed run");
+        std::process::abort();
+    }
+}
 
 /// Evaluates a grid of cells and returns their values **in cell order**
-/// (one `Vec<f64>` per cell, `keys.len()` values each).
+/// (one `Vec<f64>` per cell, [`CellDesc::values_len`] values each).
 ///
-/// Without a coordinator this is the classic sequential loop — checkpoint
-/// replay, `local_eval`, checkpoint record — and prefetch cells are
-/// skipped (the local path warms its caches lazily anyway). With a
-/// coordinator the cells are sharded across the connected workers; see
-/// the module docs for the failure model. Either way the returned vector
-/// is index-ordered, which is what keeps artifacts byte-identical for
-/// any worker count.
-///
-/// `LocalEval` is the caller's single-process evaluator for one cell:
-/// `(index, cell)` → the cell's values.
+/// Under `--resume`, cells whose artifact the store holds are served
+/// from it. Without a coordinator, the remaining cells run in-process in
+/// [`mps_par::chunk_ranges`] chunks, one [`eval_cells`] call per chunk,
+/// and prefetch cells are skipped (the local path warms its caches
+/// lazily anyway). With a coordinator they are sharded across the
+/// connected workers; see the module docs for the failure model. Either
+/// way each computed cell is written to the store and the returned
+/// vector is index-ordered, which is what keeps artifacts byte-identical
+/// for any worker count.
 ///
 /// # Errors
 ///
-/// Propagates `local_eval` failures (and, distributed, lease-board I/O
+/// Propagates evaluation failures (and, distributed, lease-board I/O
 /// errors).
 pub fn run_grid(
     ctx: &StudyContext,
     grid: &'static str,
-    cells: &[DistCell],
-    ckpt: Option<&Arc<Checkpoint>>,
-    local_eval: LocalEval<'_>,
+    cells: &[CellDesc],
+    memo: &mut CellMemo,
 ) -> Result<Vec<Vec<f64>>, Error> {
+    let mut out: Vec<Option<Vec<f64>>> = cells.iter().map(|c| load_cell(ctx, grid, c)).collect();
     if let Some(co) = ctx.coordinator() {
-        return co.run_grid(grid, cells, ckpt, local_eval);
-    }
-    let mut out = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        if matches!(cell.desc, CellDesc::Prefetch { .. }) {
-            out.push(Vec::new());
-            continue;
+        co.run_grid(ctx, grid, cells, &mut out, memo)?;
+    } else {
+        let pending: Vec<usize> = (0..cells.len())
+            .filter(|&i| out[i].is_none() && !matches!(cells[i], CellDesc::Prefetch { .. }))
+            .collect();
+        for range in mps_par::chunk_ranges(pending.len(), ctx.jobs(), ctx.batch()) {
+            let idxs = &pending[range];
+            let chunk: Vec<CellDesc> = idxs.iter().map(|&i| cells[i].clone()).collect();
+            let started = Instant::now();
+            let values = eval_cells(ctx, &chunk, memo)?;
+            let per_cell = started.elapsed() / idxs.len() as u32;
+            for (&i, v) in idxs.iter().zip(values) {
+                crate::heartbeat::cell_finished(per_cell);
+                store_cell(ctx, grid, &cells[i], &v);
+                out[i] = Some(v);
+            }
         }
-        if let Some(values) = replay(ckpt, cell) {
-            crate::heartbeat::cell_replayed();
-            out.push(values);
-            continue;
-        }
-        let started = Instant::now();
-        let values = local_eval(i, cell)?;
-        debug_assert_eq!(values.len(), cell.keys.len(), "one value per key");
-        crate::heartbeat::cell_finished(started.elapsed());
-        record(ckpt, cell, &values);
-        out.push(values);
     }
-    Ok(out)
+    Ok(out.into_iter().map(Option::unwrap_or_default).collect())
 }
 
 /// Warms the shared store with expensive artifacts through the workers.
@@ -541,22 +610,11 @@ pub fn prefetch(
     if ctx.coordinator().is_none() || kinds.is_empty() {
         return Ok(());
     }
-    let cells: Vec<DistCell> = kinds
+    let cells: Vec<CellDesc> = kinds
         .iter()
-        .map(|k| DistCell {
-            id: format!("prefetch;{}", k.tag()),
-            keys: Vec::new(),
-            desc: CellDesc::Prefetch { what: *k },
-        })
+        .map(|&what| CellDesc::Prefetch { what })
         .collect();
-    run_grid(ctx, grid, &cells, None, &|_, cell| {
-        let CellDesc::Prefetch { what } = &cell.desc else {
-            unreachable!("prefetch grid contains only prefetch cells");
-        };
-        eval_prefetch(ctx, what)?;
-        Ok(Vec::new())
-    })
-    .map(|_| ())
+    run_grid(ctx, grid, &cells, &mut CellMemo::default()).map(|_| ())
 }
 
 // ---------------------------------------------------------------------
@@ -663,28 +721,62 @@ impl std::fmt::Debug for Coordinator {
     }
 }
 
+/// How the coordinator starts one local worker process.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum WorkerLaunch {
+    /// An `mps-harness` binary, run as `worker --connect ADDR --id ID`.
+    Harness(PathBuf),
+    /// The current test binary, re-executed with the exact
+    /// [`WORKER_TEST_ENTRY`] filter; address and id travel in
+    /// [`WORKER_CONNECT_ENV`] / [`WORKER_ID_ENV`].
+    TestEntry(PathBuf),
+}
+
+impl WorkerLaunch {
+    fn command(&self, addr: &str, id: &str) -> Command {
+        match self {
+            WorkerLaunch::Harness(exe) => {
+                let mut cmd = Command::new(exe);
+                cmd.args(["worker", "--connect", addr, "--id", id]);
+                cmd
+            }
+            WorkerLaunch::TestEntry(exe) => {
+                let mut cmd = Command::new(exe);
+                cmd.args([WORKER_TEST_ENTRY, "--exact", "--nocapture"])
+                    .env(WORKER_CONNECT_ENV, addr)
+                    .env(WORKER_ID_ENV, id);
+                cmd
+            }
+        }
+    }
+}
+
 /// Resolves the worker executable: `MPS_WORKER_CMD` wins; otherwise the
 /// current executable if it *is* `mps-harness`; otherwise a sibling
 /// `mps-harness` next to (or one directory above) the current executable
 /// — which finds `target/<profile>/mps-harness` from a test binary in
-/// `target/<profile>/deps/`.
-fn worker_command() -> Option<PathBuf> {
+/// `target/<profile>/deps/`; otherwise, when the current executable is
+/// such a test binary and not itself a worker, the test binary's worker
+/// entry point. `None` for anything else, so a launch never recurses.
+fn worker_command() -> Option<WorkerLaunch> {
     if let Some(cmd) = std::env::var_os("MPS_WORKER_CMD") {
-        return Some(PathBuf::from(cmd));
+        return Some(WorkerLaunch::Harness(PathBuf::from(cmd)));
     }
     let exe = std::env::current_exe().ok()?;
     let bin = format!("mps-harness{}", std::env::consts::EXE_SUFFIX);
     if exe.file_name().map(|n| n.to_string_lossy().into_owned()) == Some(bin.clone()) {
-        return Some(exe);
+        return Some(WorkerLaunch::Harness(exe));
     }
     let parent = exe.parent()?;
     for dir in [Some(parent), parent.parent()].into_iter().flatten() {
         let candidate = dir.join(&bin);
         if candidate.is_file() {
-            return Some(candidate);
+            return Some(WorkerLaunch::Harness(candidate));
         }
     }
-    None
+    let in_deps = parent.file_name().is_some_and(|d| d == "deps");
+    (in_deps && std::env::var_os(WORKER_CONNECT_ENV).is_none())
+        .then_some(WorkerLaunch::TestEntry(exe))
 }
 
 impl Coordinator {
@@ -753,21 +845,20 @@ impl Coordinator {
 
         let mut children = Vec::new();
         if opts.workers > 0 {
-            let cmd = worker_command().ok_or_else(|| {
+            let launch = worker_command().ok_or_else(|| {
                 Error::InvalidInput(
-                    "cannot locate the mps-harness executable to spawn workers \
-                     (set MPS_WORKER_CMD to its path)"
+                    "cannot locate an executable to spawn workers \
+                     (set MPS_WORKER_CMD to the mps-harness path)"
                         .to_owned(),
                 )
             })?;
             for i in 0..opts.workers {
-                let child = Command::new(&cmd)
-                    .args(["worker", "--connect", &addr.to_string(), "--id"])
-                    .arg(format!("w{i}"))
+                let child = launch
+                    .command(&addr.to_string(), &format!("w{i}"))
                     .stdin(Stdio::null())
                     .stdout(Stdio::null())
                     .spawn()
-                    .map_err(|e| Error::Io(format!("spawn worker {}: {e}", cmd.display())))?;
+                    .map_err(|e| Error::Io(format!("spawn worker {launch:?}: {e}")))?;
                 mps_obs::counter("dist.workers.spawned").incr();
                 children.push(child);
             }
@@ -796,22 +887,22 @@ impl Coordinator {
         lock(&self.prov).clone()
     }
 
+    /// Fills every `None` slot of `out` (cells not served from the
+    /// store) through the workers, then the local fallback.
     fn run_grid(
         &self,
+        ctx: &StudyContext,
         grid: &'static str,
-        cells: &[DistCell],
-        ckpt: Option<&Arc<Checkpoint>>,
-        local_eval: LocalEval<'_>,
-    ) -> Result<Vec<Vec<f64>>, Error> {
+        cells: &[CellDesc],
+        out: &mut [Option<Vec<f64>>],
+        memo: &mut CellMemo,
+    ) -> Result<(), Error> {
         let board = LeaseBoard::open(&self.store, grid, &self.spec)?;
         let results: Vec<Mutex<Option<Vec<f64>>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
+            out.iter_mut().map(|v| Mutex::new(v.take())).collect();
         let queue = mps_par::CellQueue::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if let Some(values) = replay(ckpt, cell) {
-                crate::heartbeat::cell_replayed();
-                *lock(&results[i]) = Some(values);
-            } else {
+        for (i, r) in results.iter().enumerate() {
+            if lock(r).is_none() {
                 queue.push(i);
             }
         }
@@ -834,7 +925,7 @@ impl Coordinator {
                 let results = &results;
                 let local_only = &local_only;
                 s.spawn(move || {
-                    self.dispatch_loop(w, grid, cells, ckpt, queue, results, local_only);
+                    self.dispatch_loop(w, ctx, grid, cells, queue, results, local_only);
                 });
             }
         });
@@ -854,7 +945,7 @@ impl Coordinator {
             // pure cell is benign).
             let lease = claim_patiently(
                 &board,
-                &cell.id,
+                &cell.id(),
                 "coordinator",
                 self.lease_ttl,
                 self.lease_ttl * 2,
@@ -863,14 +954,11 @@ impl Coordinator {
                 self.count_claim(*stolen);
             }
             let started = Instant::now();
-            let values = if matches!(cell.desc, CellDesc::Prefetch { .. }) {
-                local_eval(i, cell)?
-            } else {
-                let v = local_eval(i, cell)?;
+            let values = eval_cells(ctx, std::slice::from_ref(cell), memo)?.remove(0);
+            if !matches!(cell, CellDesc::Prefetch { .. }) {
                 crate::heartbeat::cell_finished(started.elapsed());
-                record(ckpt, cell, &v);
-                v
-            };
+                store_cell(ctx, grid, cell, &values);
+            }
             if let Some((l, _)) = lease {
                 l.release();
             }
@@ -887,19 +975,16 @@ impl Coordinator {
         }
 
         board.clear();
-        let mut out = Vec::with_capacity(cells.len());
-        for (i, cell) in cells.iter().enumerate() {
-            match lock(&results[i]).take() {
-                Some(v) => out.push(v),
-                None => {
-                    return Err(Error::Io(format!(
-                        "distributed {grid} cell '{}' was never computed",
-                        cell.id
-                    )))
-                }
+        for ((slot, r), cell) in out.iter_mut().zip(results).zip(cells) {
+            *slot = r.into_inner().unwrap_or_else(|p| p.into_inner());
+            if slot.is_none() {
+                return Err(Error::Io(format!(
+                    "distributed {grid} cell '{}' was never computed",
+                    cell.id()
+                )));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Folds one coordinator-observed cell round-trip into the worker's
@@ -938,9 +1023,9 @@ impl Coordinator {
     fn dispatch_loop(
         &self,
         w: &Arc<WorkerConn>,
+        ctx: &StudyContext,
         grid: &'static str,
-        cells: &[DistCell],
-        ckpt: Option<&Arc<Checkpoint>>,
+        cells: &[CellDesc],
         queue: &mps_par::CellQueue,
         results: &[Mutex<Option<Vec<f64>>>],
         local_only: &Mutex<Vec<usize>>,
@@ -957,7 +1042,7 @@ impl Coordinator {
                     mps_obs::counter("dist.renewals").add(u64::from(done.renewals));
                     crate::heartbeat::cell_finished(started.elapsed());
                     self.note_latency(&w.id, started.elapsed());
-                    record(ckpt, cell, &done.values);
+                    store_cell(ctx, grid, cell, &done.values);
                     let mut prov = lock(&self.prov);
                     prov.cells_remote += 1;
                     let entry = prov
@@ -971,13 +1056,14 @@ impl Coordinator {
                     *lock(&results[i]) = Some(done.values);
                 }
                 Err(TaskError::Reported(err)) => {
-                    eprintln!("dist: worker {} failed cell '{}': {err}", w.id, cell.id);
+                    eprintln!("dist: worker {} failed cell '{}': {err}", w.id, cell.id());
                     lock(local_only).push(i);
                 }
                 Err(TaskError::Dead(err)) => {
                     eprintln!(
                         "dist: worker {} lost mid-cell '{}' ({err}); re-issuing",
-                        w.id, cell.id
+                        w.id,
+                        cell.id()
                     );
                     w.alive.store(false, Ordering::Release);
                     mps_obs::counter("dist.workers.lost").incr();
@@ -996,14 +1082,15 @@ impl Coordinator {
     /// One task round trip. Renew lines reset the liveness clock; the
     /// worker claims/renews/releases the lease itself and reports the
     /// claim outcome in `dist.done`.
-    fn exchange(&self, w: &WorkerConn, grid: &str, cell: &DistCell) -> Result<TaskDone, TaskError> {
+    fn exchange(&self, w: &WorkerConn, grid: &str, cell: &CellDesc) -> Result<TaskDone, TaskError> {
+        let id = cell.id();
         {
             let mut fields: Vec<(&str, String)> = vec![
-                ("id", cell.id.clone()),
+                ("id", id.clone()),
                 ("grid", grid.to_owned()),
-                ("values_len", cell.keys.len().to_string()),
+                ("values_len", cell.values_len().to_string()),
             ];
-            fields.extend(cell.desc.fields());
+            fields.extend(cell.fields());
             let mut writer = lock(&w.writer);
             send_line(&mut writer, "dist.task", &fields)
                 .map_err(|e| TaskError::Dead(format!("send: {e}")))?;
@@ -1055,7 +1142,7 @@ impl Coordinator {
                     }
                     continue;
                 }
-                "dist.done" if fields.get("id") == Some(&cell.id) => {
+                "dist.done" if fields.get("id") == Some(&id) => {
                     if let Some(lost) = fields.get("lost").and_then(|l| l.parse::<u64>().ok()) {
                         mps_obs::counter("dist.telemetry.lost").add(lost);
                     }
@@ -1063,11 +1150,11 @@ impl Coordinator {
                         .get("values")
                         .and_then(|v| parse_values(v))
                         .ok_or_else(|| TaskError::Dead("garbled dist.done".to_owned()))?;
-                    if values.len() != cell.keys.len() {
+                    if values.len() != cell.values_len() {
                         return Err(TaskError::Reported(format!(
                             "worker returned {} values, expected {}",
                             values.len(),
-                            cell.keys.len()
+                            cell.values_len()
                         )));
                     }
                     return Ok(TaskDone {
@@ -1079,7 +1166,7 @@ impl Coordinator {
                             .unwrap_or(0),
                     });
                 }
-                "dist.fail" if fields.get("id") == Some(&cell.id) => {
+                "dist.fail" if fields.get("id") == Some(&id) => {
                     return Err(TaskError::Reported(
                         fields
                             .get("error")
@@ -1428,7 +1515,7 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
         .and_then(|v| v.parse().ok());
     let mut completed = 0u64;
     let mut boards: HashMap<String, LeaseBoard> = HashMap::new();
-    let mut memo = WorkerMemo::default();
+    let mut memo = CellMemo::default();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -1500,8 +1587,9 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
             }
         };
         let started = Instant::now();
-        match eval_cell(&ctx, &desc, &mut memo) {
-            Ok(values) => {
+        match eval_cells(&ctx, std::slice::from_ref(&desc), &mut memo) {
+            Ok(mut values) => {
+                let values = values.remove(0);
                 // The worker's own latency view, shipped via telemetry so
                 // `/metrics` can break grid.cell.latency_us down per worker.
                 crate::heartbeat::cell_finished(started.elapsed());
@@ -1544,89 +1632,79 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
 }
 
 // ---------------------------------------------------------------------
-// Worker-side cell evaluation
+// The cell evaluator
 // ---------------------------------------------------------------------
 
-/// Per-connection memo of rebuilt confidence inputs and perturbed model
-/// sets, so a worker decodes each shared artifact once per grid instead
-/// of once per cell.
+/// Memo of rebuilt confidence inputs and perturbed model sets, so a
+/// grid (or a worker connection) decodes each shared artifact once
+/// instead of once per cell.
 #[derive(Default)]
-struct WorkerMemo {
-    conf: HashMap<String, Arc<ConfInputs>>,
+pub struct CellMemo {
+    conf: HashMap<ConfSource, Arc<ConfInputs>>,
     models: HashMap<(usize, u64), Vec<Arc<BadcoModel>>>,
 }
 
-struct ConfInputs {
-    pop: Population,
-    data: PairData,
-    strata_diffs: Vec<f64>,
+/// The inputs a confidence cell resamples.
+pub(crate) struct ConfInputs {
+    /// The workload population the samplers draw from.
+    pub(crate) pop: Population,
+    /// Outcome data: per-workload throughputs of the two policies.
+    pub(crate) data: PairData,
+    /// The differences `workload-strata` stratifies on (BADCO's, also
+    /// when the outcomes are detailed).
+    pub(crate) strata_diffs: Vec<f64>,
 }
 
-fn conf_key(source: &ConfSource) -> String {
-    match *source {
-        ConfSource::Fig3 { cores } => format!("fig3;c{cores}"),
-        ConfSource::Fig6 { pair } => format!("fig6;p{pair}"),
-        ConfSource::Fig7 => "fig7".to_owned(),
-    }
-}
-
-fn conf_inputs(
+/// The population, pair data and strata input of a confidence source,
+/// memoized per source.
+pub(crate) fn conf_inputs(
     ctx: &StudyContext,
     source: &ConfSource,
-    memo: &mut WorkerMemo,
+    memo: &mut CellMemo,
 ) -> Result<Arc<ConfInputs>, Error> {
-    let key = conf_key(source);
-    if let Some(inputs) = memo.conf.get(&key) {
+    if let Some(inputs) = memo.conf.get(source) {
         return Ok(Arc::clone(inputs));
     }
+    let badco = |cores, x, y, metric| -> Result<ConfInputs, Error> {
+        let data = ctx.badco_pair_data(cores, x, y, metric)?;
+        Ok(ConfInputs {
+            strata_diffs: data.differences(),
+            pop: ctx.population(cores)?,
+            data,
+        })
+    };
     let inputs = match *source {
-        ConfSource::Fig3 { cores } => {
-            let data = ctx.badco_pair_data(
-                cores,
-                PolicyKind::Dip,
-                PolicyKind::Drrip,
-                ThroughputMetric::WeightedSpeedup,
-            )?;
-            let strata_diffs = data.differences();
-            ConfInputs {
-                pop: ctx.population(cores)?,
-                data,
-                strata_diffs,
-            }
-        }
+        ConfSource::Fig3 { cores } => badco(
+            cores,
+            PolicyKind::Dip,
+            PolicyKind::Drrip,
+            ThroughputMetric::WeightedSpeedup,
+        )?,
         ConfSource::Fig6 { pair } => {
             let pairs = crate::experiments::confidence::fig6_pairs();
             let &(x, y) = pairs.get(pair).ok_or_else(|| {
                 Error::InvalidInput(format!("fig6 pair index {pair} out of range"))
             })?;
-            let data = ctx.badco_pair_data(4, x, y, ThroughputMetric::IpcThroughput)?;
-            let strata_diffs = data.differences();
-            ConfInputs {
-                pop: ctx.population(4)?,
-                data,
-                strata_diffs,
-            }
+            badco(4, x, y, ThroughputMetric::IpcThroughput)?
         }
         ConfSource::Fig7 => {
             let metric = ThroughputMetric::IpcThroughput;
-            let (x, y) = (PolicyKind::Lru, PolicyKind::Dip);
+            let (x, y) = crate::experiments::confidence::FIG7_PAIR;
             let pop = ctx.population(2)?;
-            let workloads = pop.workloads().to_vec();
-            let tables = ctx.detailed_tables(2, &[x, y], &workloads)?;
-            let strata_diffs = ctx.badco_pair_data(2, x, y, metric)?.differences();
+            let tables = ctx.detailed_tables(2, &[x, y], pop.workloads())?;
             ConfInputs {
-                pop,
+                strata_diffs: ctx.badco_pair_data(2, x, y, metric)?.differences(),
                 data: PairData::new(
                     metric,
                     tables[0].throughputs(metric),
                     tables[1].throughputs(metric),
                 ),
-                strata_diffs,
+                pop,
             }
         }
     };
     let inputs = Arc::new(inputs);
-    memo.conf.insert(key, Arc::clone(&inputs));
+    memo.conf.insert(*source, Arc::clone(&inputs));
     Ok(inputs)
 }
 
@@ -1655,26 +1733,6 @@ fn build_sampler(
     }
 }
 
-/// Re-derives a validation cell's workload from the same seed stream the
-/// sweep enumeration used (`widx + 1` draws from the per-(cores, policy)
-/// stream; the workload is the last).
-fn validate_workload(
-    ctx: &StudyContext,
-    cores: usize,
-    p_idx: usize,
-) -> impl FnMut(usize) -> Workload + '_ {
-    let space = WorkloadSpace::new(ctx.suite().len(), cores);
-    let mut rng =
-        ctx.rng(crate::validate::VALIDATE_STREAM ^ ((cores as u64) << 20) ^ (p_idx as u64));
-    let mut drawn: Vec<Workload> = Vec::new();
-    move |widx: usize| {
-        while drawn.len() <= widx {
-            drawn.push(space.random_workload(&mut rng));
-        }
-        drawn[widx].clone()
-    }
-}
-
 fn eval_prefetch(ctx: &StudyContext, what: &PrefetchKind) -> Result<(), Error> {
     match *what {
         PrefetchKind::Table { cores, policy } => {
@@ -1682,8 +1740,7 @@ fn eval_prefetch(ctx: &StudyContext, what: &PrefetchKind) -> Result<(), Error> {
         }
         PrefetchKind::DetailedTable { cores, policy } => {
             let pop = ctx.population(cores)?;
-            let workloads = pop.workloads().to_vec();
-            ctx.detailed_table(cores, policy, &workloads)?;
+            ctx.detailed_table(cores, policy, pop.workloads())?;
         }
         PrefetchKind::Refs { cores } => {
             ctx.models(cores)?;
@@ -1694,79 +1751,102 @@ fn eval_prefetch(ctx: &StudyContext, what: &PrefetchKind) -> Result<(), Error> {
     Ok(())
 }
 
-/// Evaluates one cell descriptor against a (store-backed) context. Pure:
-/// the same descriptor yields bit-identical values on any process.
-fn eval_cell(
+/// Evaluates cell descriptors against a (store-backed) context and
+/// returns their values in input order — the one evaluator behind the
+/// inline loop, the coordinator's fallback and every worker. Pure: the
+/// same descriptor yields bit-identical values on any process.
+///
+/// The detailed sides of validation cells run in one
+/// `StudyContext::detailed_runs` fan-out and their BADCO sides in one
+/// worker-pool fan-out; confidence cells run one after another, each
+/// resampling on the pool.
+///
+/// # Errors
+///
+/// Unknown sampling methods, benchmark indices outside the suite, and
+/// failures of the underlying artifact accessors.
+pub fn eval_cells(
     ctx: &StudyContext,
-    desc: &CellDesc,
-    memo: &mut WorkerMemo,
-) -> Result<Vec<f64>, Error> {
-    match desc {
-        CellDesc::Confidence {
-            source,
-            method,
-            w,
-            samples,
-            base,
-        } => {
-            let inputs = conf_inputs(ctx, source, memo)?;
-            let sampler = build_sampler(ctx, method, &inputs)?;
-            Ok(vec![empirical_confidence_seeded(
-                sampler.as_ref(),
-                &inputs.pop,
-                &inputs.data,
-                *w,
-                *samples,
-                *base,
-                ctx.jobs(),
-            )])
-        }
-        CellDesc::Validate {
-            cores,
-            policy,
-            p_idx,
-            widx,
-            perturb,
-            side,
-        } => {
-            let mut workload_at = validate_workload(ctx, *cores, *p_idx);
-            let workload = workload_at(*widx);
-            match side {
-                ValSide::Detailed => Ok(ctx
-                    .validation_detailed_ipcs_batch(
-                        *cores,
-                        *policy,
-                        std::slice::from_ref(&workload),
-                    )?
-                    .remove(0)),
-                ValSide::Badco => {
-                    let key = (*cores, perturb.to_bits());
-                    let models = match memo.models.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            let models = ctx.models(*cores)?;
-                            let models = if *perturb == 1.0 {
-                                models
-                            } else {
-                                models
-                                    .iter()
-                                    .map(|m| Arc::new(m.perturbed(*perturb)))
-                                    .collect()
-                            };
-                            e.insert(models)
-                        }
-                    };
-                    Ok(StudyContext::badco_run_with(
-                        models, *cores, *policy, &workload,
-                    ))
+    cells: &[CellDesc],
+    memo: &mut CellMemo,
+) -> Result<Vec<Vec<f64>>, Error> {
+    let mut out: Vec<Vec<f64>> = vec![Vec::new(); cells.len()];
+    let mut detailed: Vec<(usize, usize, PolicyKind, Workload)> = Vec::new();
+    let mut badco: Vec<(usize, usize, PolicyKind, Workload, f64)> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        match cell {
+            CellDesc::Confidence {
+                source,
+                method,
+                w,
+                samples,
+                base,
+            } => {
+                let inputs = conf_inputs(ctx, source, memo)?;
+                let sampler = build_sampler(ctx, method, &inputs)?;
+                out[i] = vec![empirical_confidence_seeded(
+                    sampler.as_ref(),
+                    &inputs.pop,
+                    &inputs.data,
+                    *w,
+                    *samples,
+                    *base,
+                    ctx.jobs(),
+                )];
+            }
+            CellDesc::Validate {
+                cores,
+                policy,
+                benchmarks,
+                perturb,
+                side,
+            } => {
+                let workload = Workload::new(benchmarks.clone());
+                ctx.check_workload(&workload)?;
+                match side {
+                    ValSide::Detailed => detailed.push((i, *cores, *policy, workload)),
+                    ValSide::Badco => badco.push((i, *cores, *policy, workload, *perturb)),
                 }
             }
-        }
-        CellDesc::Prefetch { what } => {
-            eval_prefetch(ctx, what)?;
-            Ok(Vec::new())
+            CellDesc::Prefetch { what } => eval_prefetch(ctx, what)?,
         }
     }
+    if !detailed.is_empty() {
+        let runs: Vec<DetailedCell<'_>> = detailed
+            .iter()
+            .map(|(_, cores, policy, w)| (*cores, *policy, w))
+            .collect();
+        for ((i, ..), r) in detailed.iter().zip(ctx.detailed_runs(&runs)?) {
+            out[*i] = r.ipc;
+        }
+    }
+    if !badco.is_empty() {
+        // Perturbed model sets live in the memo, never in the context's
+        // model cache.
+        for &(_, cores, _, _, perturb) in &badco {
+            if let std::collections::hash_map::Entry::Vacant(e) =
+                memo.models.entry((cores, perturb.to_bits()))
+            {
+                let models = ctx.models(cores)?;
+                e.insert(if perturb == 1.0 {
+                    models
+                } else {
+                    models
+                        .iter()
+                        .map(|m| Arc::new(m.perturbed(perturb)))
+                        .collect()
+                });
+            }
+        }
+        let models = &memo.models;
+        let ipcs = mps_par::par_map_indexed(ctx.jobs(), &badco, |_, (_, cores, policy, w, p)| {
+            StudyContext::badco_run_with(&models[&(*cores, p.to_bits())], *cores, *policy, w)
+        });
+        for ((i, ..), v) in badco.iter().zip(ipcs) {
+            out[*i] = v;
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1806,16 +1886,14 @@ mod tests {
         round_trip(CellDesc::Validate {
             cores: 4,
             policy: PolicyKind::Drrip,
-            p_idx: 1,
-            widx: 5,
+            benchmarks: vec![0, 3, 3, 21],
             perturb: 0.5,
             side: ValSide::Badco,
         });
         round_trip(CellDesc::Validate {
             cores: 2,
             policy: PolicyKind::Lru,
-            p_idx: 0,
-            widx: 0,
+            benchmarks: vec![7, 9],
             perturb: 1.0,
             side: ValSide::Detailed,
         });
@@ -1841,8 +1919,7 @@ mod tests {
         let desc = CellDesc::Validate {
             cores: 4,
             policy: PolicyKind::TreePlru,
-            p_idx: 2,
-            widx: 3,
+            benchmarks: vec![1, 2, 5, 8],
             perturb: 0.75,
             side: ValSide::Detailed,
         };
@@ -1869,6 +1946,38 @@ mod tests {
         bad_policy.insert("cores".to_owned(), "4".to_owned());
         bad_policy.insert("policy".to_owned(), "MRU".to_owned());
         assert!(CellDesc::from_fields(&bad_policy).is_err());
+        let mut no_threads: BTreeMap<String, String> = CellDesc::Validate {
+            cores: 2,
+            policy: PolicyKind::Lru,
+            benchmarks: vec![1, 2],
+            perturb: 1.0,
+            side: ValSide::Badco,
+        }
+        .fields()
+        .into_iter()
+        .map(|(k, v)| (k.to_owned(), v))
+        .collect();
+        no_threads.insert("bench".to_owned(), String::new());
+        assert!(CellDesc::from_fields(&no_threads).is_err());
+    }
+
+    #[test]
+    fn values_len_and_id_come_from_the_descriptor() {
+        let side = |side| CellDesc::Validate {
+            cores: 4,
+            policy: PolicyKind::Lru,
+            benchmarks: vec![1, 2, 3, 4],
+            perturb: 1.0,
+            side,
+        };
+        let (det, badco) = (side(ValSide::Detailed), side(ValSide::Badco));
+        assert_eq!(det.values_len(), 4);
+        assert_ne!(det.id(), badco.id(), "the two sides are distinct cells");
+        let pre = CellDesc::Prefetch {
+            what: PrefetchKind::Refs { cores: 2 },
+        };
+        assert_eq!(pre.values_len(), 0);
+        assert_eq!(pre.id(), "kind=pre;what=refs;cores=2");
     }
 
     #[test]
@@ -1915,14 +2024,80 @@ mod tests {
     }
 
     #[test]
+    fn cell_artifacts_are_read_only_under_resume() {
+        let dir = std::env::temp_dir().join(format!("mps-dist-cells-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = |resume| {
+            StudyContext::builder()
+                .scale(Scale::test())
+                .jobs(1)
+                .store(&dir)
+                .resume(resume)
+                .build()
+                .unwrap()
+        };
+        let conf = CellDesc::Confidence {
+            source: ConfSource::Fig3 { cores: 2 },
+            method: "random".to_owned(),
+            w: 5,
+            samples: 10,
+            base: 7,
+        };
+        let value = f64::from_bits(0x3fe8_a3d7_0a3d_70a4);
+        let fresh = ctx(false);
+        store_cell(&fresh, "fig3", &conf, &[value]);
+        assert_eq!(
+            load_cell(&fresh, "fig3", &conf),
+            None,
+            "a fresh run re-evaluates"
+        );
+
+        let resumed = ctx(true);
+        let got = load_cell(&resumed, "fig3", &conf).expect("stored cell");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].to_bits(), value.to_bits(), "bit-exact");
+        assert_eq!(
+            load_cell(&resumed, "fig6", &conf),
+            None,
+            "grids share no cells"
+        );
+
+        // A record of the wrong length is quarantined, not served.
+        let val = CellDesc::Validate {
+            cores: 2,
+            policy: PolicyKind::Lru,
+            benchmarks: vec![1, 2],
+            perturb: 1.0,
+            side: ValSide::Badco,
+        };
+        store_cell(&fresh, "validate", &val, &[1.0]);
+        assert_eq!(load_cell(&resumed, "validate", &val), None);
+        assert_eq!(resumed.store_stats().unwrap().corrupt, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn worker_command_is_only_ever_a_harness_binary() {
         // Under cargo test the current exe is a test binary, so the
-        // resolver must either find a sibling mps-harness or nothing —
-        // never hand back the test binary itself.
+        // resolver must find a sibling mps-harness or fall back to this
+        // binary's exact worker entry — it never re-runs the test binary
+        // with any other filter, so a worker launch cannot recurse.
         if std::env::var_os("MPS_WORKER_CMD").is_none() {
-            if let Some(cmd) = worker_command() {
-                let name = cmd.file_name().unwrap().to_string_lossy().into_owned();
-                assert!(name.starts_with("mps-harness"), "resolved {name}");
+            match worker_command() {
+                Some(WorkerLaunch::Harness(cmd)) => {
+                    let name = cmd.file_name().unwrap().to_string_lossy().into_owned();
+                    assert!(name.starts_with("mps-harness"), "resolved {name}");
+                }
+                Some(launch @ WorkerLaunch::TestEntry(_)) => {
+                    let cmd = launch.command("127.0.0.1:1", "w0");
+                    assert_eq!(
+                        std::path::Path::new(cmd.get_program()),
+                        std::env::current_exe().unwrap()
+                    );
+                    let args: Vec<_> = cmd.get_args().collect();
+                    assert_eq!(args, [WORKER_TEST_ENTRY, "--exact", "--nocapture"]);
+                }
+                None => {}
             }
         }
     }

@@ -1,41 +1,30 @@
 //! Figures 1, 3, 6 and 7: degrees of confidence.
 
 use crate::convergence::ConvergenceProbe;
-use crate::dist::{self, CellDesc, ConfSource, DistCell, PrefetchKind};
+use crate::dist::{self, CellDesc, CellMemo, ConfSource, PrefetchKind};
 use crate::runner::StudyContext;
-use mps_metrics::ThroughputMetric;
-use mps_sampling::{
-    analytic_confidence, empirical_confidence_seeded, BalancedRandomSampling,
-    BenchmarkStratification, PairData, RandomSampling, Sampler, WorkloadStratification,
-};
-use mps_store::{Checkpoint, Error};
+use mps_sampling::analytic_confidence;
+use mps_store::Error;
 use mps_uncore::PolicyKind;
-use std::sync::Arc;
 
 /// Builds one confidence grid cell. The RNG base is drawn at enumeration
-/// time (exactly one `next_u64` per cell, same order as the
-/// pre-distribution code path, so resumed, distributed and uninterrupted
-/// runs all see identical streams) and travels inside the descriptor:
-/// the cell's value is a pure function of the descriptor, evaluable on
-/// any process.
+/// time (exactly one `next_u64` per cell) and travels inside the
+/// descriptor: the cell's value is a pure function of the descriptor,
+/// evaluable on any process, so resumed, distributed and uninterrupted
+/// runs all see identical streams.
 fn confidence_cell(
-    id: String,
     source: ConfSource,
     method: &str,
     w: usize,
     samples: usize,
     base: u64,
-) -> DistCell {
-    DistCell {
-        keys: vec![id.clone()],
-        id,
-        desc: CellDesc::Confidence {
-            source,
-            method: method.to_owned(),
-            w,
-            samples,
-            base,
-        },
+) -> CellDesc {
+    CellDesc::Confidence {
+        source,
+        method: method.to_owned(),
+        w,
+        samples,
+        base,
     }
 }
 
@@ -135,11 +124,10 @@ impl std::fmt::Display for Fig3Report {
 
 /// Runs the Figure 3 validation: empirical random-sampling confidence vs
 /// the equation (5) model, for DRRIP vs DIP under WSU. With a store
-/// attached, every evaluated grid point lands in the `fig3` checkpoint
-/// log, so a killed run resumed with `--resume` replays the completed
+/// attached, every evaluated grid point lands in the store as a cell
+/// artifact, so a killed run resumed with `--resume` reuses the completed
 /// cells and continues bit-identically.
 pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
-    let metric = ThroughputMetric::WeightedSpeedup;
     // The paper validates on 2, 4 and 8 cores; the 8-core population is
     // included once the scale gives it a meaningful sample.
     let cores_list = if ctx.scale.pop_8core >= 100 {
@@ -147,7 +135,6 @@ pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
     } else {
         vec![2usize, 4]
     };
-    let ckpt = ctx.grid_checkpoint("fig3");
     crate::heartbeat::grid_add_total((cores_list.len() * ctx.scale.sample_sizes.len()) as u64);
     let prefetch: Vec<PrefetchKind> = cores_list
         .iter()
@@ -158,49 +145,29 @@ pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
     dist::prefetch(ctx, "fig3", &prefetch)?;
 
     let samples = ctx.scale.confidence_samples;
-    let mut inputs = Vec::new(); // per core count: (pop, data, probe)
+    let mut memo = CellMemo::default();
+    let mut probes = Vec::new();
     let mut cells = Vec::new();
-    let mut meta = Vec::new(); // (inputs index, cores, w, analytic)
+    let mut meta = Vec::new(); // (probe index, cores, w, analytic)
     for &cores in &cores_list {
-        let data = ctx.badco_pair_data(cores, PolicyKind::Dip, PolicyKind::Drrip, metric)?;
-        let pop = ctx.population(cores)?;
-        let probe = ConvergenceProbe::new("fig3", &format!("c{cores}"), &data.differences());
+        let source = ConfSource::Fig3 { cores };
+        let inputs = dist::conf_inputs(ctx, &source, &mut memo)?;
         let mut rng = ctx.rng(0xF163 ^ cores as u64);
         for &w in &ctx.scale.sample_sizes {
             let base = rng.next_u64();
-            cells.push(confidence_cell(
-                format!("c{cores};w{w}"),
-                ConfSource::Fig3 { cores },
-                "random",
-                w,
-                samples,
-                base,
-            ));
-            meta.push((inputs.len(), cores, w, analytic_confidence(&data, w)));
+            cells.push(confidence_cell(source, "random", w, samples, base));
+            meta.push((probes.len(), cores, w, analytic_confidence(&inputs.data, w)));
         }
-        inputs.push((pop, data, probe));
+        probes.push(ConvergenceProbe::new(
+            "fig3",
+            &format!("c{cores}"),
+            &inputs.data.differences(),
+        ));
     }
-    let values = dist::run_grid(ctx, "fig3", &cells, ckpt.as_ref(), &|i, cell| {
-        let CellDesc::Confidence {
-            w, samples, base, ..
-        } = &cell.desc
-        else {
-            unreachable!("fig3 grid contains only confidence cells");
-        };
-        let (pop, data, _) = &inputs[meta[i].0];
-        Ok(vec![empirical_confidence_seeded(
-            &RandomSampling,
-            pop,
-            data,
-            *w,
-            *samples,
-            *base,
-            ctx.jobs(),
-        )])
-    })?;
+    let values = dist::run_grid(ctx, "fig3", &cells, &mut memo)?;
     let mut points = Vec::new();
-    for (&(input, cores, w, analytic), empirical) in meta.iter().zip(&values) {
-        inputs[input].2.cell("random", w, samples);
+    for (&(probe, cores, w, analytic), empirical) in meta.iter().zip(&values) {
+        probes[probe].cell("random", w, samples);
         points.push((cores, w, analytic, empirical[0]));
     }
     Ok(Fig3Report {
@@ -308,96 +275,56 @@ pub fn fig6_pairs() -> [(PolicyKind, PolicyKind); 4] {
     ]
 }
 
-/// Evaluates all applicable sampling methods on `data` over the given
-/// population, producing one panel. The `(method, W)` grid goes through
-/// [`dist::run_grid`], so with a coordinator attached the cells are
-/// sharded across worker processes (which rebuild `pop`/`data` from
-/// `source` against the shared store) and evaluated bit-identically.
+/// The policy pair of Figure 7 (`Y > X`): DIP>LRU.
+pub const FIG7_PAIR: (PolicyKind, PolicyKind) = (PolicyKind::Lru, PolicyKind::Dip);
+
+/// Evaluates all applicable sampling methods on one confidence source at
+/// every sample size up to `max_w`, producing one panel. The
+/// `(method, W)` grid goes through [`dist::run_grid`], so with a
+/// coordinator attached the cells are sharded across worker processes
+/// (which rebuild the inputs from `source` against the shared store) and
+/// evaluated bit-identically.
 #[allow(clippy::too_many_arguments)]
 fn panel(
     ctx: &StudyContext,
-    ckpt: Option<&Arc<Checkpoint>>,
+    memo: &mut CellMemo,
     experiment: &'static str,
-    cell_prefix: &str,
+    label: &str,
     source: ConfSource,
-    pop: &mps_sampling::Population,
-    data: &PairData,
-    x: PolicyKind,
-    y: PolicyKind,
+    (x, y): (PolicyKind, PolicyKind),
     samples: usize,
     stream: u64,
+    max_w: usize,
 ) -> Result<ConfidencePanel, Error> {
-    let probe = ConvergenceProbe::new(experiment, cell_prefix, &data.differences());
-    let classes: Vec<usize> = ctx
-        .suite()
-        .iter()
-        .map(|b| b.nominal_class.index())
-        .collect();
-    let bench_strata = BenchmarkStratification::new(classes);
-    let workload_strata = WorkloadStratification::with_defaults(&data.differences());
-    let mut methods: Vec<(&str, &dyn Sampler)> = vec![
-        ("random", &RandomSampling),
-        ("bench-strata", &bench_strata),
-        ("workload-strata", &workload_strata),
-    ];
-    let balanced = BalancedRandomSampling;
-    if pop.is_full() {
+    let inputs = dist::conf_inputs(ctx, &source, memo)?;
+    let probe = ConvergenceProbe::new(experiment, label, &inputs.data.differences());
+    let mut methods = vec!["random", "bench-strata", "workload-strata"];
+    if inputs.pop.is_full() {
         // The balanced construction needs the full population (paper
         // footnote 6 hits the same restriction).
-        methods.insert(1, ("bal-random", &balanced));
+        methods.insert(1, "bal-random");
     }
-    let sizes = ctx.scale.sample_sizes.clone();
-    let eligible = sizes.iter().filter(|&&w| w <= pop.len()).count();
-    crate::heartbeat::grid_add_total((methods.len() * eligible) as u64);
+    let sizes: Vec<usize> = ctx
+        .scale
+        .sample_sizes
+        .iter()
+        .copied()
+        .filter(|&w| w <= inputs.pop.len().min(max_w))
+        .collect();
+    crate::heartbeat::grid_add_total((methods.len() * sizes.len()) as u64);
     let mut cells = Vec::new();
-    for (name, _) in &methods {
+    for name in &methods {
         let mut rng = ctx.rng(stream ^ fxhash(name));
         for &w in &sizes {
-            if w > pop.len() {
-                continue;
-            }
-            let base = rng.next_u64();
-            cells.push(confidence_cell(
-                format!("{cell_prefix};{name};w{w}"),
-                source,
-                name,
-                w,
-                samples,
-                base,
-            ));
+            cells.push(confidence_cell(source, name, w, samples, rng.next_u64()));
         }
     }
-    let values = dist::run_grid(ctx, experiment, &cells, ckpt, &|_, cell| {
-        let CellDesc::Confidence {
-            method,
-            w,
-            samples,
-            base,
-            ..
-        } = &cell.desc
-        else {
-            unreachable!("confidence panels contain only confidence cells");
-        };
-        let sampler = methods
-            .iter()
-            .find(|(n, _)| n == method)
-            .expect("cell methods come from this panel's method list")
-            .1;
-        Ok(vec![empirical_confidence_seeded(
-            sampler,
-            pop,
-            data,
-            *w,
-            *samples,
-            *base,
-            ctx.jobs(),
-        )])
-    })?;
+    let values = dist::run_grid(ctx, experiment, &cells, memo)?;
     let mut series = Vec::new();
     for (cell, v) in cells.iter().zip(&values) {
         let CellDesc::Confidence {
             method, w, samples, ..
-        } = &cell.desc
+        } = cell
         else {
             unreachable!("confidence panels contain only confidence cells");
         };
@@ -417,10 +344,6 @@ fn fxhash(s: &str) -> u64 {
 /// pairs, estimated with BADCO (4 cores, IPCT).
 pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     let cores = 4;
-    let metric = ThroughputMetric::IpcThroughput;
-    let pop = ctx.population(cores)?;
-    let samples = ctx.scale.confidence_samples;
-    let ckpt = ctx.grid_checkpoint("fig6");
     let mut prefetch: Vec<PrefetchKind> = Vec::new();
     for policy in fig6_pairs().into_iter().flat_map(|(x, y)| [x, y]) {
         let kind = PrefetchKind::Table { cores, policy };
@@ -429,21 +352,19 @@ pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
         }
     }
     dist::prefetch(ctx, "fig6", &prefetch)?;
+    let mut memo = CellMemo::default();
     let mut panels = Vec::new();
-    for (i, (x, y)) in fig6_pairs().into_iter().enumerate() {
-        let data = ctx.badco_pair_data(cores, x, y, metric)?;
+    for (i, pair) in fig6_pairs().into_iter().enumerate() {
         panels.push(panel(
             ctx,
-            ckpt.as_ref(),
+            &mut memo,
             "fig6",
             &format!("p{i}"),
             ConfSource::Fig6 { pair: i },
-            &pop,
-            &data,
-            x,
-            y,
-            samples,
+            pair,
+            ctx.scale.confidence_samples,
             0xF166 + i as u64,
+            usize::MAX,
         )?);
     }
     Ok(ConfidenceCurves {
@@ -461,8 +382,7 @@ pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
 /// detailed one).
 pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     let cores = 2;
-    let metric = ThroughputMetric::IpcThroughput;
-    let (x, y) = (PolicyKind::Lru, PolicyKind::Dip);
+    let (x, y) = FIG7_PAIR;
     // The detailed tables dominate this figure's cost: with a
     // coordinator, warm them (and the BADCO strata tables) through the
     // workers so both sides then load the same store artifacts.
@@ -476,104 +396,25 @@ pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
             PrefetchKind::DetailedTable { cores, policy: y },
         ],
     )?;
-    let pop = ctx.population(cores)?;
-    let workloads = pop.workloads().to_vec();
-
-    // Detailed-simulator throughputs over the full 253-workload population.
-    let tables = ctx.detailed_tables(cores, &[x, y], &workloads)?;
-    let detailed_data = PairData::new(
-        metric,
-        tables[0].throughputs(metric),
-        tables[1].throughputs(metric),
-    );
-
-    // Strata are defined from the approximate (BADCO) differences.
-    let badco_data = ctx.badco_pair_data(cores, x, y, metric)?;
-    let workload_strata = WorkloadStratification::with_defaults(&badco_data.differences());
-
-    let classes: Vec<usize> = ctx
-        .suite()
-        .iter()
-        .map(|b| b.nominal_class.index())
-        .collect();
-    let bench_strata = BenchmarkStratification::new(classes);
-    let balanced = BalancedRandomSampling;
-    let methods: Vec<(&str, &dyn Sampler)> = vec![
-        ("random", &RandomSampling),
-        ("bal-random", &balanced),
-        ("bench-strata", &bench_strata),
-        ("workload-strata", &workload_strata),
-    ];
-
-    // The paper uses 100 samples per size for this figure.
+    // The paper uses 100 samples per size and sizes up to 50 for this
+    // figure.
     let samples = (ctx.scale.confidence_samples / 10).max(100);
-    let sizes: Vec<usize> = ctx
-        .scale
-        .sample_sizes
-        .iter()
-        .copied()
-        .filter(|&w| w <= 50)
-        .collect();
-    let ckpt = ctx.grid_checkpoint("fig7");
-    crate::heartbeat::grid_add_total((methods.len() * sizes.len()) as u64);
-    let probe = ConvergenceProbe::new("fig7", "p0", &detailed_data.differences());
-    let mut cells = Vec::new();
-    for (name, _) in &methods {
-        let mut rng = ctx.rng(0xF167 ^ fxhash(name));
-        for &w in &sizes {
-            let base = rng.next_u64();
-            cells.push(confidence_cell(
-                format!("{name};w{w}"),
-                ConfSource::Fig7,
-                name,
-                w,
-                samples,
-                base,
-            ));
-        }
-    }
-    let values = dist::run_grid(ctx, "fig7", &cells, ckpt.as_ref(), &|_, cell| {
-        let CellDesc::Confidence {
-            method,
-            w,
-            samples,
-            base,
-            ..
-        } = &cell.desc
-        else {
-            unreachable!("fig7 grid contains only confidence cells");
-        };
-        let sampler = methods
-            .iter()
-            .find(|(n, _)| n == method)
-            .expect("cell methods come from fig7's method list")
-            .1;
-        Ok(vec![empirical_confidence_seeded(
-            sampler,
-            &pop,
-            &detailed_data,
-            *w,
-            *samples,
-            *base,
-            ctx.jobs(),
-        )])
-    })?;
-    let mut series = Vec::new();
-    for (cell, v) in cells.iter().zip(&values) {
-        let CellDesc::Confidence {
-            method, w, samples, ..
-        } = &cell.desc
-        else {
-            unreachable!("fig7 grid contains only confidence cells");
-        };
-        probe.cell(method, *w, *samples);
-        series.push((method.clone(), *w, v[0]));
-    }
+    let panel = panel(
+        ctx,
+        &mut CellMemo::default(),
+        "fig7",
+        "p0",
+        ConfSource::Fig7,
+        FIG7_PAIR,
+        samples,
+        0xF167,
+        50,
+    )?;
     Ok(ConfidenceCurves {
         figure: 7,
         cores,
         simulator: "detailed",
-        panels: vec![ConfidencePanel { x, y, series }],
+        panels: vec![panel],
     })
 }
 

@@ -1,9 +1,10 @@
 //! Periodic run progress: grid-cell accounting plus a background
 //! heartbeat that reports it while a long study runs.
 //!
-//! The experiment grids (figures 3, 6, 7) call [`grid_add_total`] when
-//! they learn how many cells a figure will evaluate, then
-//! [`cell_finished`] / [`cell_replayed`] per cell. The accounting lives
+//! The grids (figures 3, 6, 7 and the validation sweep) call
+//! [`grid_add_total`] when they learn how many cells they will evaluate,
+//! and [`crate::dist::run_grid`] calls [`cell_finished`] /
+//! [`cell_replayed`] per cell. The accounting lives
 //! in ordinary `mps-obs` gauges, counters and the
 //! `grid.cell.latency_us` histogram, so it shows up in `/metrics` and
 //! the profile report for free; with the `obs` feature off everything
@@ -43,7 +44,7 @@ pub fn cell_finished(took: Duration) {
     mps_obs::gauge("grid.cells.done").add(1);
 }
 
-/// Marks one cell replayed from a checkpoint (a `--resume` run): done,
+/// Marks one cell served from the store (a `--resume` run): done,
 /// but not counted into the latency histogram.
 pub fn cell_replayed() {
     mps_obs::counter("grid.cells.replayed").incr();

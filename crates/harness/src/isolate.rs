@@ -1,22 +1,18 @@
-//! Fault-isolated experiment execution: panics become [`Error`]s, hung
-//! experiments time out, and transient failures get a bounded retry.
+//! Fault-isolated experiment execution: panics become [`Error`]s and
+//! transient failures get a bounded retry.
 //!
 //! One failing experiment must not take down a multi-experiment study:
 //! `mps-harness all` runs every experiment through [`run_isolated`], so a
-//! panic or hang in one figure is reported (and exits nonzero at the end)
-//! while the remaining figures still run — and, with a store attached,
+//! panic in one figure is reported (and exits nonzero at the end) while
+//! the remaining figures still run — and, with a store attached,
 //! everything already computed stays reusable by the rerun.
 
 use mps_store::{Error, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::time::Duration;
 
-/// Retry/timeout policy for [`run_isolated`].
+/// Retry policy for [`run_isolated`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IsolateOptions {
-    /// Wall-clock budget per attempt; `None` waits forever.
-    pub timeout: Option<Duration>,
     /// Extra attempts after the first failure (0 = fail fast).
     pub retries: u32,
 }
@@ -31,8 +27,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `work` on a dedicated thread, catching panics and enforcing the
-/// per-attempt timeout, with up to `opts.retries` repeat attempts.
+/// Runs `work` on the caller's thread, catching panics, with up to
+/// `opts.retries` repeat attempts.
 ///
 /// `work` must be `Fn` (not `FnOnce`) so a failed attempt can be retried;
 /// experiments are pure functions of a `StudyContext`, so reruns are safe
@@ -40,14 +36,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// # Errors
 ///
-/// [`Error::WorkerPanic`] when every attempt panicked,
-/// [`Error::Timeout`] when every attempt exceeded the budget (the
-/// runaway worker thread is detached, not killed — its result is
-/// discarded), or the last inner error when `work` itself fails.
+/// [`Error::WorkerPanic`] when every attempt panicked, or the last inner
+/// error when `work` itself fails.
 pub fn run_isolated<T, F>(what: &str, opts: IsolateOptions, work: F) -> Result<T>
 where
-    T: Send + 'static,
-    F: Fn() -> Result<T> + Send + Sync,
+    F: Fn() -> Result<T>,
 {
     let attempt_hist = mps_obs::histogram("isolate.attempt.latency_us");
     let mut last_err: Option<Error> = None;
@@ -60,65 +53,16 @@ where
             );
         }
         let started = std::time::Instant::now();
-        let outcome = std::thread::scope(|s| -> Result<T> {
-            let (tx, rx) = mpsc::channel();
-            let work = &work;
-            let worker = std::thread::Builder::new()
-                .name(format!("isolate-{what}"))
-                .spawn_scoped(s, move || {
-                    let result =
-                        catch_unwind(AssertUnwindSafe(work)).map_err(|p| Error::WorkerPanic {
-                            what: what.to_owned(),
-                            detail: panic_message(p),
-                        });
-                    // The receiver may have timed out and gone away.
-                    let _ = tx.send(result);
-                })
-                .map_err(|e| Error::Io(format!("spawning isolate worker: {e}")))?;
-            match opts.timeout {
-                None => {
-                    let r = rx.recv().map_err(|_| Error::Interrupted {
-                        what: what.to_owned(),
-                    })?;
-                    let _ = worker.join();
-                    r?
-                }
-                Some(budget) => match rx.recv_timeout(budget) {
-                    Ok(r) => {
-                        let _ = worker.join();
-                        r?
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // The worker is still running; a scoped thread
-                        // must be joined, so wait for it but report the
-                        // timeout. (Experiments poll nothing external, so
-                        // a hang here means a simulator bug — the join
-                        // keeps memory safety, the error keeps honesty.)
-                        let r = Err(Error::Timeout {
-                            what: what.to_owned(),
-                            // Whole-second budgets (the CLI flag) report
-                            // exactly; sub-second ones round up.
-                            secs: budget.as_secs_f64().ceil() as u64,
-                        });
-                        let _ = worker.join();
-                        r
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        let _ = worker.join();
-                        Err(Error::Interrupted {
-                            what: what.to_owned(),
-                        })
-                    }
-                },
-            }
+        let outcome = catch_unwind(AssertUnwindSafe(&work)).unwrap_or_else(|p| {
+            Err(Error::WorkerPanic {
+                what: what.to_owned(),
+                detail: panic_message(p),
+            })
         });
         attempt_hist.record_duration(started.elapsed());
         match outcome {
             Ok(v) => return Ok(v),
             Err(e) => {
-                if matches!(e, Error::Timeout { .. }) {
-                    mps_obs::counter("isolate.timeout").incr();
-                }
                 let retryable = matches!(e, Error::WorkerPanic { .. } | Error::Io(_));
                 last_err = Some(e);
                 if !retryable {
@@ -159,19 +103,12 @@ mod tests {
     #[test]
     fn panics_are_retried_to_success() {
         let attempts = AtomicU32::new(0);
-        let v = run_isolated(
-            "flaky",
-            IsolateOptions {
-                timeout: None,
-                retries: 2,
-            },
-            || {
-                if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("transient");
-                }
-                Ok(7)
-            },
-        )
+        let v = run_isolated("flaky", IsolateOptions { retries: 2 }, || {
+            if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
+                panic!("transient");
+            }
+            Ok(7)
+        })
         .unwrap();
         assert_eq!(v, 7);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
@@ -182,10 +119,7 @@ mod tests {
         let attempts = AtomicU32::new(0);
         let err = run_isolated(
             "invalid",
-            IsolateOptions {
-                timeout: None,
-                retries: 5,
-            },
+            IsolateOptions { retries: 5 },
             || -> Result<()> {
                 attempts.fetch_add(1, Ordering::SeqCst);
                 Err(Error::InvalidInput("bad cores".to_owned()))
@@ -194,28 +128,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, Error::InvalidInput(_)), "{err}");
         assert_eq!(attempts.load(Ordering::SeqCst), 1, "no retry on bad input");
-    }
-
-    #[test]
-    fn slow_work_times_out() {
-        let err = run_isolated(
-            "sleepy",
-            IsolateOptions {
-                timeout: Some(Duration::from_millis(20)),
-                retries: 0,
-            },
-            || {
-                std::thread::sleep(Duration::from_millis(100));
-                Ok(())
-            },
-        )
-        .unwrap_err();
-        match err {
-            Error::Timeout { what, secs } => {
-                assert_eq!(what, "sleepy");
-                assert!(secs > 0);
-            }
-            other => panic!("wrong error: {other}"),
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! mps-harness [run] <experiment...> [--scale test|small|full] [--out DIR]
 //!                   [--jobs N] [--store DIR] [--resume] [--no-store]
-//!                   [--timeout SECS] [--retries N] [--profile] [--trace FILE]
+//!                   [--retries N] [--profile] [--trace FILE]
 //!                   [--metrics-addr HOST:PORT]
 //! mps-harness trace <FILE> [--folded] [--worker ID]
 //! mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]
@@ -36,13 +36,13 @@
 //! --store DIR (or MPS_STORE=DIR) persists expensive artifacts — BADCO
 //! models, populations, throughput tables, traces, rendered reports — so
 //! reruns and other processes load instead of recompute; experiment
-//! grids additionally checkpoint per-cell progress there.
-//! --resume continues a killed run from the store's checkpoints,
+//! grids additionally store each finished cell there.
+//! --resume continues a killed run from the store's cell results,
 //! bit-identically to an uninterrupted run (requires --store/MPS_STORE).
 //! --no-store ignores MPS_STORE and runs fully in memory.
-//! --timeout SECS bounds each experiment's wall-clock; --retries N
-//! re-attempts an experiment that panicked. A failing experiment is
-//! reported and skipped; the exit code is nonzero if any failed.
+//! --retries N re-attempts an experiment that panicked. A failing
+//! experiment is reported and skipped; the exit code is nonzero if any
+//! failed.
 //! --profile appends the profile pipeline + report after the experiments.
 //! --trace FILE streams structured JSONL span/event records to FILE
 //! (equivalent to MPS_OBS_OUT=FILE). Both need the `obs` feature (on by
@@ -402,7 +402,7 @@ fn report_cli(args: &[String]) -> i32 {
 /// (0 ok, 1 error, 2 usage, 4 when `--fail-on` thresholds are breached).
 fn validate_cli(args: &[String]) -> i32 {
     const USAGE: &str = "usage: mps-harness validate [--scale test|small|full] [--jobs N] \
-                         [--batch N] [--scalar] [--store DIR] [--resume] [--no-store] [--out DIR] \
+                         [--batch N] [--store DIR] [--resume] [--no-store] [--out DIR] \
                          [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
                          [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
                          [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] \
@@ -412,7 +412,6 @@ fn validate_cli(args: &[String]) -> i32 {
     let mut scale = Scale::test();
     let mut jobs: Option<usize> = None;
     let mut batch: Option<usize> = None;
-    let mut scalar = false;
     let mut store: Option<PathBuf> = std::env::var_os("MPS_STORE").map(PathBuf::from);
     let mut resume = false;
     let mut out: Option<PathBuf> = None;
@@ -466,7 +465,6 @@ fn validate_cli(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--scalar" => scalar = true,
             "--store" => {
                 i += 1;
                 match need(i) {
@@ -620,7 +618,6 @@ fn validate_cli(args: &[String]) -> i32 {
 
     let opts = mps_harness::ValidateOptions {
         perturb: perturb.unwrap_or(1.0),
-        scalar,
         ..mps_harness::ValidateOptions::default()
     };
     let t0 = Instant::now();
@@ -867,7 +864,6 @@ fn main() {
     let mut batch: Option<usize> = None;
     let mut store: Option<PathBuf> = std::env::var_os("MPS_STORE").map(PathBuf::from);
     let mut resume = false;
-    let mut timeout: Option<Duration> = None;
     let mut retries = 0u32;
     let mut workers = 0usize;
     let mut dist_addr: Option<String> = None;
@@ -914,17 +910,6 @@ fn main() {
                     std::process::exit(2);
                 }
                 store = Some(PathBuf::from(dir));
-            }
-            "--timeout" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<u64>() {
-                    Ok(secs) if secs > 0 => timeout = Some(Duration::from_secs(secs)),
-                    _ => {
-                        eprintln!("--timeout needs a positive number of seconds (got '{n}')");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--retries" => {
                 i += 1;
@@ -1013,7 +998,7 @@ fn main() {
                 eprintln!(
                     "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|profile|all> \
                      [--scale test|small|full] [--out DIR] [--jobs N] [--batch N] [--store DIR] [--resume] \
-                     [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
+                     [--no-store] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
                      [--lease-ttl SECS] [--profile] [--trace FILE] [--metrics-addr HOST:PORT]\n\
                      \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
                      \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]\n\
@@ -1028,7 +1013,7 @@ fn main() {
                      --batch N runs at most N detailed-sim combinations in lockstep per kernel call, \
                      fewer when a grid has too few cells to give every worker a chunk \
                      (0 or omitted = auto: MPS_BATCH, else 8; 1 = scalar; any N is bit-identical)\n\
-                     --store DIR (or MPS_STORE=DIR) persists artifacts and checkpoints; --resume \
+                     --store DIR (or MPS_STORE=DIR) persists artifacts and grid cells; --resume \
                      continues a killed run; --no-store overrides MPS_STORE\n\
                      --workers N shards grids across N local worker processes (requires --store); \
                      --dist-addr also accepts remote `worker --connect` processes; artifacts stay \
@@ -1099,7 +1084,6 @@ fn main() {
         .scale(scale.clone())
         .jobs(jobs)
         .batch(batch)
-        .timeout(timeout)
         .retries(retries)
         .workers(workers);
     if let Some(dir) = &store {

@@ -33,7 +33,7 @@ use mps_metrics::{PerfTable, ThroughputMetric, WorkloadPerf};
 use mps_sampling::{PairData, Population, Workload};
 use mps_sim_cpu::{CoreConfig, MulticoreSim, SimResult};
 use mps_stats::rng::Rng;
-use mps_store::{ArtifactKey, Checkpoint, Error, Store};
+use mps_store::{ArtifactKey, Error, Store};
 use mps_uncore::{PolicyKind, Uncore, UncoreConfig};
 use mps_workloads::{suite, BenchmarkSpec, TraceBuffer, TraceCursor, TraceSource};
 
@@ -247,9 +247,8 @@ pub struct StudyContext {
     batch: usize,
     store: Option<Arc<Store>>,
     resume: bool,
-    /// Wall-clock budget and retry count for isolated experiment runs
-    /// (`--timeout` / `--retries`), carried by the builder.
-    pub(crate) timeout: Option<std::time::Duration>,
+    /// Retry count for isolated experiment runs (`--retries`), carried by
+    /// the builder.
     pub(crate) retries: u32,
     /// The distributed-execution coordinator, set once by the builder
     /// after assembly when `--workers`/`--dist-addr` asked for one.
@@ -309,7 +308,6 @@ impl StudyContext {
             batch: batch.max(1),
             store,
             resume,
-            timeout: None,
             retries: 0,
             dist: OnceLock::new(),
             suite: suite(),
@@ -356,7 +354,8 @@ impl StudyContext {
         self.store.as_ref()
     }
 
-    /// Whether this context resumes checkpointed grids (`--resume`).
+    /// Whether this context serves grid cells from the store's cell
+    /// artifacts (`--resume`).
     pub fn resume(&self) -> bool {
         self.resume
     }
@@ -368,11 +367,10 @@ impl StudyContext {
         self.dist.get()
     }
 
-    /// The isolation budget carried from the builder
-    /// (`--timeout` / `--retries`), for [`crate::run_isolated`].
+    /// The isolation budget carried from the builder (`--retries`), for
+    /// [`crate::run_isolated`].
     pub fn isolate_options(&self) -> crate::IsolateOptions {
         crate::IsolateOptions {
-            timeout: self.timeout,
             retries: self.retries,
         }
     }
@@ -476,20 +474,6 @@ impl StudyContext {
         }
     }
 
-    /// Opens (or resumes) the checkpoint log for an experiment grid.
-    /// Returns `None` when the context has no store — the grid then runs
-    /// un-checkpointed, exactly as before the durability rework.
-    pub fn grid_checkpoint(&self, grid: &'static str) -> Option<Arc<Checkpoint>> {
-        let store = self.store.as_deref()?;
-        match Checkpoint::open(store, grid, &self.artifact_spec(""), self.resume) {
-            Ok(c) => Some(Arc::new(c)),
-            Err(e) => {
-                eprintln!("warning: checkpointing disabled for {grid}: {e}");
-                None
-            }
-        }
-    }
-
     fn check_bench(&self, bench: usize) -> Result<(), Error> {
         if bench >= self.suite.len() {
             return Err(Error::InvalidInput(format!(
@@ -500,7 +484,7 @@ impl StudyContext {
         Ok(())
     }
 
-    fn check_workload(&self, w: &Workload) -> Result<(), Error> {
+    pub(crate) fn check_workload(&self, w: &Workload) -> Result<(), Error> {
         for &b in w.benchmarks() {
             self.check_bench(b as usize)?;
         }
@@ -724,10 +708,11 @@ impl StudyContext {
 
     /// Runs one workload through the *stable validation entry point* of
     /// the detailed simulator ([`mps_sim_cpu::validation_ipcs`]) and
-    /// returns only the per-core IPCs. `mps-harness validate` measures
-    /// the detailed side exclusively through this method, so the
-    /// validation suite is insulated from changes to
-    /// [`Self::detailed_run`]'s richer result surface.
+    /// returns only the per-core IPCs: the scalar reference the
+    /// differential validation tests compare BADCO against, insulated
+    /// from changes to [`Self::detailed_run`]'s richer result surface.
+    /// `mps-harness validate` measures the same quantity in one
+    /// `detailed_runs` fan-out, bit-identically.
     pub fn validation_detailed_ipcs(
         &self,
         cores: usize,
@@ -745,31 +730,6 @@ impl StudyContext {
             CoreConfig::ispass2013(),
             uncore,
             traces,
-            self.scale.trace_len,
-        ))
-    }
-
-    /// Batched companion of [`Self::validation_detailed_ipcs`]: one
-    /// [`mps_sim_cpu::run_batch`] call over all `workloads` (which must
-    /// share `cores`/`policy`), returning one IPC vector per workload —
-    /// each bit-identical to its scalar counterpart. An empty list
-    /// returns an empty vector.
-    pub fn validation_detailed_ipcs_batch(
-        &self,
-        cores: usize,
-        policy: PolicyKind,
-        workloads: &[Workload],
-    ) -> Result<Vec<Vec<f64>>, Error> {
-        for w in workloads {
-            self.check_workload(w)?;
-        }
-        if workloads.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(mps_sim_cpu::validation_ipcs_batch(
-            &CoreConfig::ispass2013(),
-            &experiment_uncore(cores, policy),
-            self.lanes(workloads.iter()),
             self.scale.trace_len,
         ))
     }

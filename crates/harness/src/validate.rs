@@ -30,15 +30,14 @@
 //! `docs/validation.md` for the methodology and the re-baselining
 //! procedure.
 
+use crate::dist::{self, CellDesc, CellMemo, PrefetchKind, ValSide};
 use crate::runner::{experiment_uncore, StudyContext};
-use mps_badco::BadcoModel;
-use mps_sampling::{Workload, WorkloadSpace};
+use mps_sampling::WorkloadSpace;
 use mps_stats::error_bounds::{kendall, relative_errors, ErrorStats, RankAgreement};
 use mps_store::Error;
 use mps_uncore::PolicyKind;
 use mps_workloads::MpkiClass;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema of the JSONL validation report. Bump when a field changes
@@ -47,10 +46,8 @@ use std::time::Instant;
 pub const VALIDATE_SCHEMA: u32 = 1;
 
 /// Seed stream tag for the validation grid's workload draws (distinct
-/// from every experiment stream). `pub(crate)` so distributed workers
-/// re-derive the same workloads from a cell descriptor (see
-/// [`crate::dist`]).
-pub(crate) const VALIDATE_STREAM: u64 = 0x5641_4C31;
+/// from every experiment stream).
+const VALIDATE_STREAM: u64 = 0x5641_4C31;
 
 /// Sizing and perturbation knobs of one validation sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,11 +63,6 @@ pub struct ValidateOptions {
     /// unmodified model. Any other value exists solely to prove the
     /// drift gate fires — see `docs/validation.md`.
     pub perturb: f64,
-    /// Run the detailed side through the scalar per-cell path instead of
-    /// the batched kernel (`--scalar`). The batched kernel is
-    /// bit-identical, so this is purely an escape hatch / differential
-    /// lever; it does not change the report.
-    pub scalar: bool,
 }
 
 impl Default for ValidateOptions {
@@ -80,7 +72,6 @@ impl Default for ValidateOptions {
             policies: vec![PolicyKind::Lru, PolicyKind::Drrip],
             workloads_per_group: 6,
             perturb: 1.0,
-            scalar: false,
         }
     }
 }
@@ -91,10 +82,8 @@ impl ValidateOptions {
     /// shape. `perturb` is deliberately **excluded**: a perturbed model
     /// must masquerade as the real one so the drift gate catches it
     /// against the honest baseline (the factor is still recorded in the
-    /// report header and kept out of shared checkpoint cells via the
-    /// per-cell tag). `scalar` is excluded too: the batched and scalar
-    /// kernels are bit-identical, so both paths must gate against the
-    /// same baseline (that IS the invariant).
+    /// report header, and every cell descriptor carries it, so perturbed
+    /// and honest sweeps never share stored cells).
     pub fn spec_string(&self) -> String {
         let cores: Vec<String> = self.core_counts.iter().map(|c| c.to_string()).collect();
         let pols: Vec<String> = self.policies.iter().map(|p| p.to_string()).collect();
@@ -218,15 +207,14 @@ pub struct ValidationReport {
     pub wall_ms: u128,
 }
 
-/// The spec under which validation artifacts are keyed and checkpointed.
+/// The spec under which validation reports are keyed.
 fn sweep_spec(ctx: &StudyContext, opts: &ValidateOptions) -> String {
     ctx.artifact_spec(&format!("validate;{}", opts.spec_string()))
 }
 
 /// Runs the validation sweep. Deterministic for a given context scale and
-/// options; resumable through the context's store checkpoint (cells carry
-/// the perturbation factor in their ids, so perturbed and honest sweeps
-/// never share cells).
+/// options; every workload side is one [`dist::run_grid`] cell, so the
+/// sweep distributes and resumes like the confidence grids.
 ///
 /// # Errors
 ///
@@ -241,151 +229,54 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     // With a coordinator attached, warm the store's shared artifacts
     // (models, reference IPCs) through the workers first — every process
     // then loads the same bytes instead of re-simulating.
-    let mut refs: Vec<crate::dist::PrefetchKind> = Vec::new();
+    let mut refs: Vec<PrefetchKind> = Vec::new();
     for &cores in &opts.core_counts {
-        let kind = crate::dist::PrefetchKind::Refs { cores };
+        let kind = PrefetchKind::Refs { cores };
         if !refs.contains(&kind) {
             refs.push(kind);
         }
     }
-    crate::dist::prefetch(ctx, "validate", &refs)?;
+    dist::prefetch(ctx, "validate", &refs)?;
 
-    // Prefetch shared artifacts through the validated accessors so the
-    // parallel cells below cannot fail, and apply the perturbation once
-    // per core count (never into the context's model cache).
     let mut per_cores: Vec<(usize, PerCores)> = Vec::new();
     for &cores in &opts.core_counts {
         if per_cores.iter().any(|(c, _)| *c == cores) {
             continue;
         }
-        let models = ctx.models(cores)?;
-        let models = if opts.perturb == 1.0 {
-            models
-        } else {
-            models
-                .iter()
-                .map(|m| Arc::new(m.perturbed(opts.perturb)))
-                .collect()
-        };
         per_cores.push((
             cores,
             PerCores {
-                models,
                 detailed_refs: ctx.detailed_reference_ipcs(cores)?,
                 badco_refs: ctx.badco_reference_ipcs(cores)?,
             },
         ));
     }
 
-    // Draw every cell's workloads up front from per-(cores, policy) seed
+    // Draw every cell's workload up front from per-(cores, policy) seed
     // streams: the grid contents are fixed before any parallelism starts.
+    // Each workload is two cells, its detailed and its BADCO side.
     let suite = ctx.suite();
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut cells: Vec<CellDesc> = Vec::new();
     for &cores in &opts.core_counts {
         let space = WorkloadSpace::new(suite.len(), cores);
         for (p_idx, &policy) in opts.policies.iter().enumerate() {
             let mut rng = ctx.rng(VALIDATE_STREAM ^ ((cores as u64) << 20) ^ (p_idx as u64));
-            for widx in 0..opts.workloads_per_group {
-                cells.push(Cell {
-                    cores,
-                    policy,
-                    p_idx,
-                    widx,
-                    workload: space.random_workload(&mut rng),
-                });
+            for _ in 0..opts.workloads_per_group {
+                let benchmarks = space.random_workload(&mut rng).benchmarks().to_vec();
+                for side in [ValSide::Detailed, ValSide::Badco] {
+                    cells.push(CellDesc::Validate {
+                        cores,
+                        policy,
+                        benchmarks: benchmarks.clone(),
+                        perturb: opts.perturb,
+                        side,
+                    });
+                }
             }
         }
     }
-
-    let ckpt = ctx.grid_checkpoint("validate");
-    let sweep_tag = format!("perturb={}", opts.perturb);
-    // The detailed side runs through the batched kernel by default:
-    // `mps-par` schedules chunks of cells, and each chunk's uncached
-    // detailed runs collapse into `run_batch` calls. `--scalar` forces
-    // width 1, where the batch entry point delegates to the scalar
-    // `MulticoreSim::run` — both paths are bit-identical by the kernel's
-    // contract (and the differential test in this module proves it).
-    let batch = if opts.scalar { 1 } else { ctx.batch() };
-    let results: Vec<(Vec<f64>, Vec<f64>)> = if ctx.coordinator().is_some() {
-        validate_distributed(ctx, opts, &cells, ckpt.as_ref(), &sweep_tag, &per_cores)?
-    } else {
-        mps_par::par_map_batched(ctx.jobs(), &cells, batch, |_, chunk| {
-            let started = Instant::now();
-            let key = |cell: &Cell, model: &str, k: usize| {
-                format!(
-                    "{sweep_tag};c={};p={};w={};m={model};k={k}",
-                    cell.cores, cell.policy, cell.widx
-                )
-            };
-            let cached = |cell: &Cell, model: &str| -> Option<Vec<f64>> {
-                let ck = ckpt.as_ref()?;
-                (0..cell.workload.cores())
-                    .map(|k| ck.lookup(&key(cell, model, k)))
-                    .collect()
-            };
-            let record = |cell: &Cell, model: &str, ipcs: &[f64]| {
-                if let Some(ck) = ckpt.as_ref() {
-                    for (k, &v) in ipcs.iter().enumerate() {
-                        ck.record(&key(cell, model, k), v);
-                    }
-                }
-            };
-            // Detailed side: one batched kernel call per (cores, policy)
-            // group of the chunk's uncached cells (a single `run_batch`
-            // call shares one machine configuration across its lanes).
-            let mut det: Vec<Option<Vec<f64>>> = chunk.iter().map(|c| cached(c, "det")).collect();
-            let mut g = 0;
-            while g < chunk.len() {
-                if det[g].is_some() {
-                    g += 1;
-                    continue;
-                }
-                let (cores, policy) = (chunk[g].cores, chunk[g].policy);
-                let idxs: Vec<usize> = (g..chunk.len())
-                    .filter(|&i| {
-                        det[i].is_none() && chunk[i].cores == cores && chunk[i].policy == policy
-                    })
-                    .collect();
-                let ws: Vec<_> = idxs.iter().map(|&i| chunk[i].workload.clone()).collect();
-                let ipcs = ctx
-                    .validation_detailed_ipcs_batch(cores, policy, &ws)
-                    .expect("workloads drawn from the suite's own space");
-                for (&i, ipc) in idxs.iter().zip(ipcs) {
-                    record(&chunk[i], "det", &ipc);
-                    det[i] = Some(ipc);
-                }
-            }
-            let out: Vec<(Vec<f64>, Vec<f64>)> = chunk
-                .iter()
-                .zip(det)
-                .map(|(cell, det)| {
-                    let models = &per_cores
-                        .iter()
-                        .find(|(c, _)| *c == cell.cores)
-                        .expect("prefetched above")
-                        .1
-                        .models;
-                    let bad = cached(cell, "badco").unwrap_or_else(|| {
-                        let ipcs = StudyContext::badco_run_with(
-                            models,
-                            cell.cores,
-                            cell.policy,
-                            &cell.workload,
-                        );
-                        record(cell, "badco", &ipcs);
-                        ipcs
-                    });
-                    (det.expect("filled above"), bad)
-                })
-                .collect();
-            let per_cell = started.elapsed() / chunk.len().max(1) as u32;
-            let cell_hist = mps_obs::histogram("validate.cell.latency_us");
-            for _ in 0..chunk.len() {
-                cell_hist.record_duration(per_cell);
-            }
-            out
-        })
-    };
+    crate::heartbeat::grid_add_total(cells.len() as u64);
+    let values = dist::run_grid(ctx, "validate", &cells, &mut CellMemo::default())?;
 
     // Merge in cell order (index-ordered by construction) and aggregate —
     // all statistics and estimator recordings happen here, on one thread,
@@ -393,20 +284,31 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     // estimators byte-stable across --jobs.
     let mut groups: Vec<GroupValidation> = Vec::new();
     let mut stratum_errs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (cell, (det, bad)) in cells.iter().zip(&results) {
+    for (pair, sides) in cells.chunks(2).zip(values.chunks(2)) {
+        let CellDesc::Validate {
+            cores,
+            policy,
+            benchmarks,
+            ..
+        } = &pair[0]
+        else {
+            unreachable!("the validation grid holds only validation cells");
+        };
+        let (cores, policy) = (*cores, *policy);
+        let (det, bad) = (&sides[0], &sides[1]);
         let pc = &per_cores
             .iter()
-            .find(|(c, _)| *c == cell.cores)
-            .expect("prefetched above")
+            .find(|(c, _)| *c == cores)
+            .expect("fetched above")
             .1;
         let need_new = groups
             .last()
-            .is_none_or(|g| g.cores != cell.cores || g.policy != cell.policy);
+            .is_none_or(|g| g.cores != cores || g.policy != policy);
         if need_new {
             groups.push(GroupValidation {
-                cores: cell.cores,
-                policy: cell.policy,
-                uncore_spec: experiment_uncore(cell.cores, cell.policy).spec_string(),
+                cores,
+                policy,
+                uncore_spec: experiment_uncore(cores, policy).spec_string(),
                 rows: Vec::new(),
                 ipc_err: ErrorStats::default(),
                 throughput_err: ErrorStats::default(),
@@ -414,22 +316,19 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
             });
         }
         let wsu = |ipcs: &[f64], refs: &[f64]| -> f64 {
-            cell.workload
-                .benchmarks()
+            benchmarks
                 .iter()
                 .zip(ipcs)
                 .map(|(&b, ipc)| ipc / refs[b as usize])
                 .sum()
         };
         let row = WorkloadValidation {
-            name: cell
-                .workload
-                .benchmarks()
+            name: benchmarks
                 .iter()
                 .map(|&b| suite[b as usize].name())
                 .collect::<Vec<_>>()
                 .join("+"),
-            benchmarks: cell.workload.benchmarks().to_vec(),
+            benchmarks: benchmarks.clone(),
             detailed_ipc: det.clone(),
             badco_ipc: bad.clone(),
             detailed_throughput: wsu(det, &pc.detailed_refs),
@@ -486,90 +385,8 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
 }
 
 struct PerCores {
-    models: Vec<Arc<BadcoModel>>,
     detailed_refs: Vec<f64>,
     badco_refs: Vec<f64>,
-}
-
-struct Cell {
-    cores: usize,
-    policy: PolicyKind,
-    /// Index of `policy` in the sweep's policy list — names the seed
-    /// stream the workload was drawn from, so a distributed worker can
-    /// re-derive `workload` from `(cores, p_idx, widx)` alone.
-    p_idx: usize,
-    widx: usize,
-    workload: Workload,
-}
-
-/// One cell's per-thread IPCs from both simulators: `(detailed, badco)`.
-type IpcPairs = Vec<(Vec<f64>, Vec<f64>)>;
-
-/// Distributed evaluation of the validation grid: each `Cell` becomes
-/// two [`DistCell`]s (detailed side, BADCO side) whose per-thread IPCs
-/// land under exactly the checkpoint keys the in-process path uses, so
-/// single-process, distributed and killed-then-resumed sweeps all
-/// produce byte-identical reports.
-fn validate_distributed(
-    ctx: &StudyContext,
-    opts: &ValidateOptions,
-    cells: &[Cell],
-    ckpt: Option<&Arc<mps_store::Checkpoint>>,
-    sweep_tag: &str,
-    per_cores: &[(usize, PerCores)],
-) -> Result<IpcPairs, Error> {
-    use crate::dist::{self, CellDesc, DistCell, ValSide};
-    let mut dcells = Vec::with_capacity(cells.len() * 2);
-    for cell in cells {
-        for (model, side) in [("det", ValSide::Detailed), ("badco", ValSide::Badco)] {
-            let prefix = format!(
-                "{sweep_tag};c={};p={};w={};m={model}",
-                cell.cores, cell.policy, cell.widx
-            );
-            dcells.push(DistCell {
-                keys: (0..cell.workload.cores())
-                    .map(|k| format!("{prefix};k={k}"))
-                    .collect(),
-                id: prefix,
-                desc: CellDesc::Validate {
-                    cores: cell.cores,
-                    policy: cell.policy,
-                    p_idx: cell.p_idx,
-                    widx: cell.widx,
-                    perturb: opts.perturb,
-                    side,
-                },
-            });
-        }
-    }
-    let values = dist::run_grid(ctx, "validate", &dcells, ckpt, &|i, dc| {
-        let cell = &cells[i / 2];
-        let CellDesc::Validate { side, .. } = &dc.desc else {
-            unreachable!("validate grid contains only validate cells");
-        };
-        Ok(match side {
-            ValSide::Detailed => ctx
-                .validation_detailed_ipcs_batch(
-                    cell.cores,
-                    cell.policy,
-                    std::slice::from_ref(&cell.workload),
-                )?
-                .remove(0),
-            ValSide::Badco => {
-                let models = &per_cores
-                    .iter()
-                    .find(|(c, _)| *c == cell.cores)
-                    .expect("prefetched by the sweep")
-                    .1
-                    .models;
-                StudyContext::badco_run_with(models, cell.cores, cell.policy, &cell.workload)
-            }
-        })
-    })?;
-    Ok(values
-        .chunks(2)
-        .map(|pair| (pair[0].clone(), pair[1].clone()))
-        .collect())
 }
 
 fn pct(x: f64) -> f64 {

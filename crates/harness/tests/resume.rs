@@ -1,9 +1,10 @@
 //! End-to-end durability tests against the real `mps-harness` binary:
 //! a run killed mid-grid (via the `MPS_ABORT_AFTER_CELLS` test hook,
-//! which calls `abort()` inside checkpoint recording) must, after
-//! `--resume`, produce output byte-identical to an uninterrupted run —
-//! at both `--jobs 1` and `--jobs 4` — and a warm store must serve
-//! reruns from hits instead of recomputing.
+//! which calls `abort()` right after a cell artifact is written) must,
+//! after `--resume`, produce output byte-identical to an uninterrupted
+//! run — at both `--jobs 1` and `--jobs 4`, and also when one stored cell
+//! is torn — and a warm store must serve reruns from hits instead of
+//! recomputing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -60,6 +61,36 @@ fn store_hits(output: &Output) -> u64 {
         .unwrap_or_else(|| panic!("unparseable store summary: {line}"))
 }
 
+/// Parses the `N <label>` count (e.g. `corrupt`) out of the binary's
+/// trailing `store: N hits, M misses, ...` stderr summary.
+fn store_count(output: &Output, label: &str) -> u64 {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let line = stderr
+        .lines()
+        .rev()
+        .find(|l| l.starts_with("store: "))
+        .unwrap_or_else(|| panic!("no store summary in stderr:\n{stderr}"));
+    line.trim_start_matches("store: ")
+        .split(", ")
+        .find_map(|part| part.strip_suffix(&format!(" {label}")))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no '{label}' count in store summary: {line}"))
+}
+
+/// The per-cell result artifacts (`artifacts/cell-*.mps`) in a store.
+fn cell_artifacts(store: &Path) -> Vec<PathBuf> {
+    let mut cells: Vec<PathBuf> = std::fs::read_dir(store.join("artifacts"))
+        .map(|d| d.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    cells.retain(|p| {
+        p.file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with("cell-") && n.ends_with(".mps"))
+    });
+    cells.sort();
+    cells
+}
+
 fn kill_and_resume_is_byte_identical(jobs: &str) {
     let tmp = TempDir::new(&format!("fig3-j{jobs}"));
     let store = tmp.path("store");
@@ -89,14 +120,12 @@ fn kill_and_resume_is_byte_identical(jobs: &str) {
         !out.status.success(),
         "abort hook should have killed the run: {out:?}"
     );
-    let checkpoints = store.join("checkpoints");
-    let logged = checkpoints.is_dir()
-        && std::fs::read_dir(&checkpoints)
-            .map(|mut d| d.next().is_some())
-            .unwrap_or(false);
-    assert!(logged, "killed run left no checkpoint log");
+    assert!(
+        !cell_artifacts(&store).is_empty(),
+        "killed run left no cell artifact"
+    );
 
-    // ...then resumed: replays the recorded cells, finishes the rest.
+    // ...then resumed: reuses the stored cells, finishes the rest.
     let out = harness(&[&args[..], &["--resume"]].concat(), &[]);
     assert!(out.status.success(), "resumed run failed: {out:?}");
 
@@ -117,6 +146,57 @@ fn killed_run_resumes_byte_identically_jobs_1() {
 #[test]
 fn killed_run_resumes_byte_identically_jobs_4() {
     kill_and_resume_is_byte_identical("4");
+}
+
+#[test]
+fn torn_cell_artifact_is_recomputed_on_resume() {
+    let tmp = TempDir::new("torn");
+    let store = tmp.path("store");
+    let (reference, interrupted) = (tmp.path("ref"), tmp.path("int"));
+    let common = ["fig3", "--scale", "test", "--jobs", "2"];
+    let out = harness(
+        &[&common[..], &["--out", reference.to_str().unwrap()]].concat(),
+        &[],
+    );
+    assert!(out.status.success(), "reference run failed: {out:?}");
+
+    let args = [
+        &common[..],
+        &[
+            "--store",
+            store.to_str().unwrap(),
+            "--out",
+            interrupted.to_str().unwrap(),
+        ],
+    ]
+    .concat();
+    let out = harness(&args, &[("MPS_ABORT_AFTER_CELLS", "2")]);
+    assert!(
+        !out.status.success(),
+        "abort hook should have killed the run: {out:?}"
+    );
+
+    // Tear one stored cell the way a crash mid-write would: the record
+    // loses its tail (footer included).
+    let cells = cell_artifacts(&store);
+    let torn = cells.first().expect("killed run left no cell artifact");
+    let bytes = read(torn);
+    std::fs::write(torn, &bytes[..bytes.len() / 2]).expect("tearing a cell artifact");
+
+    let out = harness(&[&args[..], &["--resume"]].concat(), &[]);
+    assert!(out.status.success(), "resumed run failed: {out:?}");
+    assert!(
+        store_count(&out, "corrupt") >= 1,
+        "the torn cell must be detected as corrupt: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for file in ["fig3.txt", "fig3.csv"] {
+        assert_eq!(
+            read(&reference.join(file)),
+            read(&interrupted.join(file)),
+            "{file} differs between uninterrupted and torn-then-resumed runs"
+        );
+    }
 }
 
 #[test]

@@ -27,7 +27,6 @@ fn opts(perturb: f64) -> ValidateOptions {
         policies: vec![PolicyKind::Lru, PolicyKind::Drrip],
         workloads_per_group: 4,
         perturb,
-        scalar: false,
     }
 }
 
@@ -84,10 +83,10 @@ fn perturbed_model_breaches_gate_and_honest_model_passes() {
 }
 
 /// Differential check for the batched detailed path: the same sweep run
-/// through the lockstep batch kernel (the default) and through the
-/// `--scalar` escape hatch must agree on every per-thread IPC — the
-/// whole report serializes byte-identically, so the drift gate sees the
-/// two paths as one.
+/// through the lockstep batch kernel (the default) and at batch width 1,
+/// where `run_batch` delegates to the scalar `MulticoreSim::run`, must
+/// agree on every per-thread IPC — the whole report serializes
+/// byte-identically, so the drift gate sees the two paths as one.
 #[test]
 fn batched_and_scalar_validate_agree_exactly() {
     let batched_ctx = StudyContext::builder()
@@ -101,17 +100,10 @@ fn batched_and_scalar_validate_agree_exactly() {
     let scalar_ctx = StudyContext::builder()
         .scale(mini())
         .jobs(2)
-        .batch(4)
+        .batch(1)
         .build()
         .unwrap();
-    let scalar = mps_harness::validate::run(
-        &scalar_ctx,
-        &ValidateOptions {
-            scalar: true,
-            ..opts(1.0)
-        },
-    )
-    .unwrap();
+    let scalar = mps_harness::validate::run(&scalar_ctx, &opts(1.0)).unwrap();
 
     assert_eq!(
         batched.to_jsonl(),

@@ -51,6 +51,6 @@ pub use branch::Tage;
 pub use config::CoreConfig;
 pub use core::{Core, CoreStats};
 pub use energy::{energy_of_core, energy_of_run, EnergyBreakdown, EnergyModel};
-pub use multicore::{record_run, validation_ipcs, validation_ipcs_batch, MulticoreSim, SimResult};
+pub use multicore::{record_run, validation_ipcs, MulticoreSim, SimResult};
 pub use record::{ReqEvent, RunRecording};
 pub use tlb::Tlb;

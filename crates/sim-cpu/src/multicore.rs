@@ -252,10 +252,11 @@ pub fn record_run<B: MemoryBackend>(
 /// Stable validation entry point: runs one multiprogram workload for `n`
 /// instructions per thread and returns only the per-core IPC vector.
 ///
-/// `mps-harness validate` and the differential BADCO-vs-detailed tests
-/// call the detailed simulator exclusively through this function, so the
-/// validation suite keeps compiling and measuring the same quantity even
-/// when [`MulticoreSim`]'s richer result surface evolves. Its contract —
+/// The differential BADCO-vs-detailed tests call the detailed simulator
+/// through this function, so they keep compiling and measuring the same
+/// quantity even when [`MulticoreSim`]'s richer result surface evolves;
+/// `mps-harness validate` runs the same protocol through
+/// [`crate::run_batch`], which is bit-identical per lane. Its contract —
 /// the paper's Section IV-A protocol, IPC over each thread's first `n`
 /// committed instructions — is pinned by `docs/validation.md`; behavior
 /// changes here require re-baselining the validation report.
@@ -271,30 +272,6 @@ pub fn validation_ipcs(
     n: u64,
 ) -> Vec<f64> {
     MulticoreSim::new(cfg, uncore, traces).run(n).ipc
-}
-
-/// Batched companion of [`validation_ipcs`]: runs many workloads through
-/// [`crate::run_batch`] and returns one per-core IPC vector per lane.
-///
-/// Every lane's result is bit-identical to a [`validation_ipcs`] call
-/// for that workload alone (the batch kernel's contract), so `mps-harness
-/// validate` measures the same quantity whichever entry point it uses;
-/// the differential test in the harness asserts the equality end to end.
-///
-/// # Panics
-///
-/// As [`crate::run_batch`]: empty lane list, an empty lane, `n == 0`, or
-/// a deadlocked lane.
-pub fn validation_ipcs_batch(
-    cfg: &CoreConfig,
-    uncore_cfg: &mps_uncore::UncoreConfig,
-    lanes: Vec<Vec<Box<dyn TraceSource>>>,
-    n: u64,
-) -> Vec<Vec<f64>> {
-    crate::batch::run_batch(cfg, uncore_cfg, lanes, n)
-        .into_iter()
-        .map(|r| r.ipc)
-        .collect()
 }
 
 #[cfg(test)]

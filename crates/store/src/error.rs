@@ -32,13 +32,6 @@ pub enum Error {
         /// Highest schema this reader supports.
         supported: u32,
     },
-    /// A worker did not finish within its per-experiment deadline.
-    Timeout {
-        /// What timed out (experiment or artifact name).
-        what: String,
-        /// The deadline that was exceeded, in seconds.
-        secs: u64,
-    },
     /// A worker terminated without producing a result (killed run,
     /// disconnected channel, interrupted syscall).
     Interrupted {
@@ -73,9 +66,6 @@ impl fmt::Display for Error {
                 f,
                 "artifact {path} has schema {found}, this reader supports <= {supported}"
             ),
-            Error::Timeout { what, secs } => {
-                write!(f, "{what} exceeded its {secs}s deadline")
-            }
             Error::Interrupted { what } => write!(f, "{what} was interrupted"),
             Error::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             Error::WorkerPanic { what, detail } => {

@@ -18,9 +18,9 @@
 //! construction — an exited or SIGKILLed worker simply stops renewing,
 //! its deadline lapses, and the coordinator re-issues the cell.
 //!
-//! Leases carry no result data. Results travel through checkpoints and
-//! the content-addressed store; a lease only answers "who is (supposed to
-//! be) computing this cell right now".
+//! Leases carry no result data. Results travel through the
+//! content-addressed store; a lease only answers "who is (supposed to be)
+//! computing this cell right now".
 
 use crate::codec::fnv1a64;
 use crate::error::{Error, Result};

@@ -5,7 +5,6 @@
 //! ```text
 //! <root>/
 //!   artifacts/<kind>-<fnv64 of key spec, hex>.mps   one record per artifact
-//!   checkpoints/<grid>-<hex>.jsonl                  append-only resume logs
 //!   quarantine/<original name>.<n>                  poisoned files, kept for forensics
 //! ```
 //!
@@ -160,7 +159,7 @@ impl Store {
             obs_read_bytes: mps_obs::histogram("store.read.bytes"),
             obs_write_bytes: mps_obs::histogram("store.write.bytes"),
         };
-        for sub in ["artifacts", "checkpoints", "quarantine"] {
+        for sub in ["artifacts", "quarantine"] {
             let dir = store.root.join(sub);
             fs::create_dir_all(&dir)
                 .map_err(|e| Error::Io(format!("create {}: {e}", dir.display())))?;
@@ -178,11 +177,6 @@ impl Store {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Directory holding checkpoint logs (used by [`crate::Checkpoint`]).
-    pub(crate) fn checkpoints_dir(&self) -> PathBuf {
-        self.root.join("checkpoints")
     }
 
     /// Snapshot of the hit/miss/corruption counters.

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mps_store::{ArtifactKey, Checkpoint, Dec, Enc, Store};
+use mps_store::{ArtifactKey, Dec, Enc, Store};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -104,38 +104,5 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
         prop_assert!(s.get(&k).is_none(), "bit flip at {} must not serve", pos);
-    }
-
-    // Checkpoint logs cut at an arbitrary byte recover a strict prefix of
-    // the recorded cells, each with its exact value.
-    #[test]
-    fn checkpoint_truncation_recovers_prefix(n in 1usize..20, cut_frac in 0.0f64..1.0) {
-        let s = fresh_store("ckpt");
-        let values: Vec<f64> = (0..n).map(|i| (i as f64) * 0.37 - 1.0).collect();
-        {
-            let c = Checkpoint::open(&s, "grid", "spec", false).unwrap();
-            for (i, &v) in values.iter().enumerate() {
-                c.record(&format!("cell{i:03}"), v);
-            }
-        }
-        let dir = s.root().join("checkpoints");
-        let path = std::fs::read_dir(&dir).unwrap().flatten().next().unwrap().path();
-        let full = std::fs::read(&path).unwrap();
-        let cut = (full.len() as f64 * cut_frac) as usize;
-        std::fs::write(&path, &full[..cut]).unwrap();
-        let c = Checkpoint::open(&s, "grid", "spec", true).unwrap();
-        prop_assert!(c.loaded() <= n);
-        // Loaded cells must be a prefix with exact values; cells past the
-        // first missing one must all be absent.
-        let mut seen_gap = false;
-        for (i, &v) in values.iter().enumerate() {
-            match c.lookup(&format!("cell{i:03}")) {
-                Some(got) => {
-                    prop_assert!(!seen_gap, "cell{} present after a gap", i);
-                    prop_assert_eq!(got.to_bits(), v.to_bits());
-                }
-                None => seen_gap = true,
-            }
-        }
     }
 }

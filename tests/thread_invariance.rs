@@ -88,7 +88,6 @@ fn validation_report_is_jobs_invariant() {
         policies: vec![mps::uncore::PolicyKind::Lru],
         workloads_per_group: 3,
         perturb: 1.0,
-        scalar: false,
     };
     let reference = {
         let ctx = StudyContext::builder()
@@ -133,7 +132,6 @@ fn batched_kernel_artifacts_are_batch_and_jobs_invariant() {
         policies: vec![mps::uncore::PolicyKind::Lru],
         workloads_per_group: 3,
         perturb: 1.0,
-        scalar: false,
     };
     let artifacts = |batch: usize, jobs: usize| -> Vec<(&'static str, String)> {
         let ctx = StudyContext::builder()
@@ -191,7 +189,6 @@ fn artifacts_are_worker_process_invariant() {
         policies: vec![mps::uncore::PolicyKind::Lru],
         workloads_per_group: 3,
         perturb: 1.0,
-        scalar: false,
     };
     let artifacts = |ctx: &StudyContext| -> Vec<(&'static str, String)> {
         let validate = mps::harness::validate::run(ctx, &opts).unwrap();
@@ -258,6 +255,21 @@ fn artifacts_are_worker_process_invariant() {
         }
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Worker entry point for the coordinator's worker processes: when no
+/// `mps-harness` binary sits next to this test binary, the coordinator
+/// re-executes this binary filtered to exactly this test, with the
+/// address to connect to in the environment. Run normally, it returns at
+/// once.
+#[test]
+fn dist_worker_entry() {
+    use mps::harness::dist;
+    let Ok(addr) = std::env::var(dist::WORKER_CONNECT_ENV) else {
+        return;
+    };
+    let id = std::env::var(dist::WORKER_ID_ENV).ok();
+    dist::worker_main(&addr, id).expect("worker process failed");
 }
 
 #[test]
