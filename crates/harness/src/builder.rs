@@ -88,13 +88,6 @@ impl StudyBuilder {
         self
     }
 
-    /// Detaches any previously requested store (used by `--no-store` to
-    /// override `MPS_STORE`).
-    pub fn no_store(mut self) -> Self {
-        self.store = None;
-        self
-    }
-
     /// Whether experiment grids reuse the cell results an interrupted
     /// run left in the store (default: `false`: every cell is evaluated
     /// afresh). Only meaningful together with [`Self::store`].
@@ -220,15 +213,5 @@ mod tests {
         assert!(ctx.resume());
         assert_eq!(ctx.jobs(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn no_store_overrides_earlier_store() {
-        let ctx = StudyBuilder::new()
-            .store("ignored")
-            .no_store()
-            .build()
-            .unwrap();
-        assert!(ctx.store().is_none());
     }
 }

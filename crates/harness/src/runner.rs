@@ -81,13 +81,13 @@ pub fn default_batch() -> usize {
     AUTO_BATCH
 }
 
-/// Resolves a batch width: an explicit request (e.g. a `--batch` flag)
-/// wins, with `0` meaning auto; otherwise [`default_batch`].
+/// Resolves a batch width the way [`mps_par::resolve_jobs`] resolves a
+/// job count: a positive explicit request (e.g. a `--batch` flag) wins;
+/// `0` or no request means auto, i.e. [`default_batch`].
 pub fn resolve_batch(explicit: Option<usize>) -> usize {
     match explicit {
-        Some(0) => AUTO_BATCH,
-        Some(n) => n,
-        None => default_batch(),
+        Some(n) if n > 0 => n,
+        _ => default_batch(),
     }
 }
 

@@ -26,10 +26,11 @@
 //! *Writes* are atomic: payloads land in a `.tmp` sibling first and are
 //! renamed into place, so readers never observe a half-written artifact
 //! and a killed writer leaves only a disposable temp file (cleaned at the
-//! next [`Store::open`]). *Reads* detect truncation (length footer),
-//! bit rot (checksum) and malformed headers; the lenient path quarantines
-//! the poisoned file and reports a miss so the caller recomputes —
-//! a poisoned artifact can degrade performance, never correctness.
+//! first [`Store::open`] after it has gone stale). *Reads* detect
+//! truncation (length footer), bit rot (checksum) and malformed headers;
+//! the lenient path quarantines the poisoned file and reports a miss so
+//! the caller recomputes — a poisoned artifact can degrade performance,
+//! never correctness.
 
 use crate::codec::fnv1a64;
 use crate::error::{Error, Result};
@@ -52,6 +53,12 @@ pub const MIN_SCHEMA: u32 = 1;
 /// training, trace generation, RNG derivation) — pure refactors and new
 /// experiments don't require a bump.
 pub const KERNEL_REV: u32 = 3;
+
+/// Age after which [`Store::open`] treats an artifact temp file as
+/// abandoned by a killed writer. Far above one `put`'s create → fsync →
+/// rename window, so a store opened by another process (a distributed
+/// worker starting up) never deletes a write still in flight.
+const STALE_TEMP_AGE: std::time::Duration = std::time::Duration::from_secs(600);
 
 /// Identifies one artifact: a `kind` (namespace, e.g. `"perf-table"`) and
 /// a canonical `spec` string carrying every input the artifact depends on
@@ -143,7 +150,7 @@ pub struct Store {
 impl Store {
     /// Opens (creating if needed) a store rooted at `root`.
     ///
-    /// Removes leftover temp files from killed writers, and — when the
+    /// Removes stale temp files left by killed writers, and — when the
     /// `MPS_STORE_CAP_BYTES` environment variable is set — evicts the
     /// oldest artifacts until the store fits the cap.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
@@ -332,15 +339,23 @@ impl Store {
         }
     }
 
-    /// Removes temp files abandoned by killed writers.
+    /// Removes temp files abandoned by killed writers: those older than
+    /// [`STALE_TEMP_AGE`]. Younger ones may be another live process's
+    /// in-flight `put` and are left alone.
     fn sweep_temp_files(&self) {
         let Ok(entries) = fs::read_dir(self.root.join("artifacts")) else {
             return;
         };
         for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.contains(".tmp-") {
+            if !entry.file_name().to_string_lossy().contains(".tmp-") {
+                continue;
+            }
+            let age = entry
+                .metadata()
+                .and_then(|md| md.modified())
+                .ok()
+                .and_then(|t| t.elapsed().ok());
+            if age.is_some_and(|age| age > STALE_TEMP_AGE) {
                 let _ = fs::remove_file(entry.path());
             }
         }
@@ -457,6 +472,27 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         Store::open(dir).unwrap()
+    }
+
+    #[test]
+    fn open_sweeps_only_stale_temp_files() {
+        let s = tmp_store("sweep");
+        let tmp = s
+            .root()
+            .join("artifacts")
+            .join(format!("x.tmp-{}", std::process::id()));
+        fs::write(&tmp, b"in flight").unwrap();
+        let s = Store::open(s.root()).unwrap();
+        assert!(tmp.exists(), "a fresh temp file may be a live write");
+        let aged = std::time::SystemTime::now() - 2 * STALE_TEMP_AGE;
+        fs::File::options()
+            .write(true)
+            .open(&tmp)
+            .unwrap()
+            .set_modified(aged)
+            .unwrap();
+        Store::open(s.root()).unwrap();
+        assert!(!tmp.exists(), "a stale temp file is swept");
     }
 
     #[test]
