@@ -93,7 +93,6 @@ impl BadcoMulticoreSim {
     /// Panics if the simulation exceeds a generous step guard (deadlock).
     pub fn run(mut self) -> BadcoSimResult {
         let span = mps_obs::span("sim.badco.run");
-        let steps_counter = mps_obs::counter("sim.badco.machine_steps");
         let start = Instant::now();
         let uncore_before = self.uncore.stats();
         let k = self.machines.len();
@@ -117,7 +116,6 @@ impl BadcoMulticoreSim {
                 .map(|(c, _)| c)
                 .expect("at least one unfinished machine");
             self.machines[next].step(&mut self.uncore);
-            steps_counter.incr();
             steps += 1;
             assert!(steps < guard, "BADCO simulation deadlocked");
         }
@@ -137,8 +135,8 @@ impl BadcoMulticoreSim {
             .collect();
         let instructions: u64 = self.machines.iter().map(BadcoMachine::committed).sum();
         flush_obs(instructions, &uncore_before, &self.uncore.stats());
-        span.finish();
-        BadcoSimResult {
+        mps_obs::counter("sim.badco.machine_steps").add(steps);
+        let result = BadcoSimResult {
             ipc,
             total_cycles: finish_cycles.iter().copied().max().unwrap_or(0),
             finish_cycles,
@@ -146,7 +144,12 @@ impl BadcoMulticoreSim {
             uncore_stats: self.uncore.stats(),
             llc_misses_per_core: (0..k).map(|c| self.uncore.core_misses(c)).collect(),
             wall_seconds: start.elapsed().as_secs_f64().max(1e-9),
-        }
+        };
+        // The uncore flushes its `uncore.*` counters on drop, inside the
+        // run's span.
+        drop(self);
+        span.finish();
+        result
     }
 }
 

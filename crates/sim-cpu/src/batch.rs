@@ -208,6 +208,8 @@ pub fn run_batch(
             }
         })
         .collect();
+    // The uncore flushes its `uncore.*` counters on drop, inside the span.
+    drop(uncore);
     span.finish();
     results
 }

@@ -18,6 +18,20 @@
 //! update tags immediately, and stores never forward to loads (the
 //! generators use disjoint load/store address streams, so forwarding
 //! would not trigger anyway).
+//!
+//! # Wakeup and select
+//!
+//! Issue is event-driven, the way a hardware scheduler does it. The ROB
+//! is a power-of-two ring indexed by `seq & mask`. At dispatch an entry
+//! counts its unissued producers (`waiting`), takes the latest
+//! completion time of the issued ones (`ready_at`), and links itself into
+//! an intrusive dependents list on each unissued producer. Issuing an
+//! entry walks its list: every dependent raises its `ready_at` to the
+//! producer's completion and, once no producer is left unissued, sets its
+//! bit in the `armed` mask. Select then walks only the armed bits, oldest
+//! first from the head slot, and applies the ready-time, memory-port,
+//! divider and issue-width checks in age order. Entries still waiting on
+//! an unissued producer are never looked at.
 
 use crate::backend::MemoryBackend;
 use crate::branch::Tage;
@@ -51,28 +65,46 @@ pub struct CoreStats {
     pub itlb_misses: u64,
 }
 
-/// One in-flight µop.
+/// One in-flight µop, kept in the ROB ring at slot `seq & rob_mask`.
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
     kind: UopKind,
-    producers: [Option<u64>; 2],
     addr: u64,
     pc: u64,
     issued: bool,
     complete: u64,
     mispredicted: bool,
+    /// Producers not yet issued. The entry is armed for select once this
+    /// reaches zero.
+    waiting: u8,
+    /// Latest completion cycle among the producers that have issued: the
+    /// entry cannot issue before it.
+    ready_at: u64,
+    /// Head of the list of entries waiting on this one's result, as a
+    /// dependents link (`slot << 1 | operand`), or [`NO_DEP`].
+    deps: u32,
+    /// Next link in a producer's dependents list, one per source operand.
+    dep_next: [u32; 2],
 }
 
-/// `scan_key` flag bit for an issued ROB entry: the issue scan skips it
-/// with a single compare (`key >= KEY_ISSUED`), and the low 63 bits carry
-/// the entry's completion cycle so dependent entries' producer lookups
-/// ([`Core::producer_ready_at`]) read this same dense packed word instead
-/// of the wide `RobEntry`.
-const KEY_ISSUED: u64 = 1 << 63;
-/// `scan_key` flag bit marking "blocked on an unissued producer"; the
-/// low 62 bits carry the `issue_epoch` the entry was stamped at.
-const KEY_CHAIN: u64 = 1 << 62;
+/// End of a dependents list.
+const NO_DEP: u32 = u32::MAX;
+
+/// A free ROB ring slot.
+const EMPTY_ENTRY: RobEntry = RobEntry {
+    seq: 0,
+    kind: UopKind::IntAlu,
+    addr: 0,
+    pc: 0,
+    issued: false,
+    complete: 0,
+    mispredicted: false,
+    waiting: 0,
+    ready_at: 0,
+    deps: NO_DEP,
+    dep_next: [NO_DEP; 2],
+};
 
 /// A capacity-limited queue whose entries free at scheduled cycles
 /// (models LDQ/STQ occupancy).
@@ -169,36 +201,26 @@ pub struct Core {
     fetched_in_slice: u64,
 
     // Backend.
-    rob: VecDeque<RobEntry>,
-    /// Ring parallel to `rob`, one packed word per entry, holding exactly
-    /// what the issue scan's hot path needs: [`KEY_ISSUED`]`| complete`
-    /// for issued entries (so producer lookups read this same dense word),
-    /// [`KEY_CHAIN`]`| epoch` for entries blocked on an unissued
-    /// producer, or the memoized finite producer-readiness cycle. The
-    /// scan walks this dense array and only touches the wide `RobEntry`
-    /// when a readiness recompute or an issue is actually due (see the
-    /// cache-validity argument in `issue_stage`).
-    scan_key: VecDeque<u64>,
+    /// The ROB ring: the next power of two at or above `rob_entries`
+    /// slots, entry `seq` in slot `seq & rob_mask`. Occupied slots are
+    /// `head_seq..next_seq`.
+    rob: Vec<RobEntry>,
+    rob_mask: usize,
+    /// One bit per ROB slot: set while the entry is unissued and every
+    /// producer has issued, i.e. exactly the entries select must examine.
+    armed: Vec<u64>,
     head_seq: u64,
     next_seq: u64,
     /// Entries in the ROB not yet issued (the RS occupancy), maintained
     /// incrementally so dispatch does not rescan the ROB every cycle.
     unissued: usize,
-    /// Lowest sequence number not yet issued: every ROB entry below it is
-    /// issued, so the issue scan starts there instead of at the ROB head
-    /// (which is O(ROB) per cycle while a long-latency miss blocks commit).
-    first_unissued_seq: u64,
-    /// Earliest cycle the issue scan can possibly issue anything: the
-    /// minimum over every in-window wake source (producer completion
-    /// times, the divider freeing, `now + 1` after any issue or
-    /// dispatch). Until then `issue_stage` returns immediately — during a
-    /// memory-miss stall this turns hundreds of fruitless window scans
-    /// into one comparison, with identical issue timing.
+    /// Earliest cycle select can possibly issue anything: the minimum
+    /// over every armed entry's wake source (its `ready_at`, the divider
+    /// freeing, `now + 1` after any issue or dispatch). Until then
+    /// `issue_stage` returns immediately — during a memory-miss stall
+    /// this turns hundreds of fruitless selects into one comparison, with
+    /// identical issue timing.
     issue_wake: u64,
-    /// Monotonic count of cycles on which this core issued at least one
-    /// µop; epoch-stamps [`KEY_CHAIN`] `scan_key`s ("blocked on an
-    /// unissued producer"), which can only change after an issue event.
-    issue_epoch: u64,
     reg_producer: [Option<u64>; mps_workloads::uop::NUM_REGS],
     ldq: ReleaseQueue,
     stq: ReleaseQueue,
@@ -218,6 +240,9 @@ pub struct Core {
     finish_cycle: Option<u64>,
     stats: CoreStats,
     recorder: Option<RunRecording>,
+    /// Armed entries select has examined, for the scheduler-cost test.
+    #[cfg(test)]
+    select_visits: u64,
 }
 
 impl std::fmt::Debug for Core {
@@ -243,6 +268,7 @@ impl Core {
         assert!(trace_len > 0, "trace slice must be non-empty");
         let il1_sets = (cfg.il1_size / (cfg.il1_ways as u64 * cfg.line_bytes)) as usize;
         let dl1_sets = (cfg.dl1_size / (cfg.dl1_ways as u64 * cfg.line_bytes)) as usize;
+        let rob_slots = cfg.rob_entries.next_power_of_two();
         Core {
             id,
             trace,
@@ -262,14 +288,13 @@ impl Core {
             il1_next_pf: mps_uncore::NextLinePrefetcher::new(),
             fetched: 0,
             fetched_in_slice: 0,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            scan_key: VecDeque::with_capacity(cfg.rob_entries),
+            rob: vec![EMPTY_ENTRY; rob_slots],
+            rob_mask: rob_slots - 1,
+            armed: vec![0; rob_slots.div_ceil(64)],
             head_seq: 0,
             next_seq: 0,
             unissued: 0,
-            first_unissued_seq: 0,
             issue_wake: 0,
-            issue_epoch: 0,
             reg_producer: [None; mps_workloads::uop::NUM_REGS],
             ldq: ReleaseQueue::new(cfg.ldq_entries),
             stq: ReleaseQueue::new(cfg.stq_entries),
@@ -288,6 +313,8 @@ impl Core {
             finish_cycle: None,
             stats: CoreStats::default(),
             recorder: None,
+            #[cfg(test)]
+            select_visits: 0,
             cfg,
         }
     }
@@ -348,11 +375,10 @@ impl Core {
     ///
     /// * **commit** — an issued ROB front commits at its recorded
     ///   completion time; an unissued front is the issue bound's problem.
-    /// * **issue** — `issue_wake` is already a sound lower bound on the
-    ///   next possible issue (the PR 3 event-driven-skip invariant); a
-    ///   zero-issue scan is a pure no-op. With nothing unissued the scan
-    ///   cannot act until dispatch refills it, and dispatch pulls
-    ///   `issue_wake` down when it does.
+    /// * **issue** — `issue_wake` is a sound lower bound on the next
+    ///   possible issue, and a zero-issue select is a pure no-op. With
+    ///   nothing unissued select cannot act until dispatch refills the
+    ///   window, and dispatch pulls `issue_wake` down when it does.
     /// * **dispatch** — needs a fetched µop, a ROB slot and a window
     ///   slot; the full-ROB / full-window cases unblock only via commit /
     ///   issue events, bounded above. A front Load/Store facing a full
@@ -368,7 +394,8 @@ impl Core {
     pub fn next_event_bound(&mut self, now: u64) -> u64 {
         let mut bound = u64::MAX;
 
-        if let Some(front) = self.rob.front() {
+        if self.head_seq < self.next_seq {
+            let front = &self.rob[self.slot(self.head_seq)];
             if front.issued {
                 bound = bound.min(front.complete.max(now + 1));
             }
@@ -379,7 +406,7 @@ impl Core {
         }
 
         if !self.fetch_buffer.is_empty()
-            && self.rob.len() < self.cfg.rob_entries
+            && self.rob_len() < self.cfg.rob_entries
             && self.unissued < self.cfg.rs_entries
         {
             let front_kind = self.fetch_buffer.front().map(|fu| fu.uop.kind);
@@ -404,15 +431,26 @@ impl Core {
         bound
     }
 
+    /// ROB ring slot of sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.rob_mask
+    }
+
+    /// Entries in the ROB.
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
     fn commit_stage(&mut self, now: u64) {
         for _ in 0..self.cfg.commit_width {
-            let Some(front) = self.rob.front() else { break };
+            if self.head_seq == self.next_seq {
+                break;
+            }
+            let front = &self.rob[self.slot(self.head_seq)];
             if !front.issued || front.complete > now {
                 break;
             }
-            let entry = self.rob.pop_front().expect("checked non-empty");
-            self.scan_key.pop_front();
-            self.head_seq = entry.seq + 1;
+            self.head_seq += 1;
             self.committed += 1;
             self.stats.committed += 1;
             if let Some(rec) = &mut self.recorder {
@@ -424,174 +462,124 @@ impl Core {
         }
     }
 
-    /// Earliest cycle the value produced by `seq` can be available:
-    /// `0` once committed, the recorded completion time once issued,
-    /// `u64::MAX` while unissued (it needs a future issue event first).
+    /// Select: walks the armed entries oldest first, from the head slot
+    /// around the ring, and issues each one whose operands are ready and
+    /// whose structural resources are free, up to the issue width.
     ///
-    /// Reads the dense `scan_key` ring, not the wide `RobEntry`: an
-    /// issued entry's key is `KEY_ISSUED | complete` (written at the one
-    /// place `issued` is set), and every unissued encoding — `0`, a
-    /// finite hint, or a chain stamp — sorts below [`KEY_ISSUED`].
-    fn producer_ready_at(&self, seq: u64) -> u64 {
-        if seq < self.head_seq {
-            return 0; // already committed
-        }
-        let idx = (seq - self.head_seq) as usize;
-        let key = self.scan_key[idx];
-        if key >= KEY_ISSUED {
-            key - KEY_ISSUED
-        } else {
-            u64::MAX
-        }
-    }
-
+    /// This issues exactly what a scan of the whole window in age order
+    /// would. An unarmed entry waits on an unissued producer, and the scan
+    /// would find it not ready. An entry armed during this select (by a
+    /// producer issued just now) has `ready_at >= now + 1`, so it cannot
+    /// issue this cycle either. The window never holds more than
+    /// `rs_entries` unissued entries, so no scheduling-window cut-off is
+    /// needed.
     fn issue_stage<B: MemoryBackend>(&mut self, now: u64, backend: &mut B) {
         // Event-driven skip: `issue_wake` is a lower bound on the first
-        // cycle the scan below could issue anything (and a zero-issue scan
-        // is a pure no-op — it recomputes the same `first_unissued_seq`),
-        // so returning early is timing-identical to running it.
+        // cycle select could issue anything, and a zero-issue select is a
+        // pure no-op, so returning early is timing-identical to running it.
         if now < self.issue_wake {
             return;
         }
         let mut issued = 0usize;
         let mut mem_issued = 0usize;
-        let mut considered = 0usize;
-        // Earliest future cycle any in-window entry could become
-        // issuable, gathered from the wake sources seen during the scan:
-        // producer completion times, the divider freeing, and `now + 1`
-        // whenever structural contention blocked a ready entry.
+        // Earliest future cycle any armed entry could issue, gathered
+        // from the wake sources select sees: operand ready times, the
+        // divider freeing, and `now + 1` whenever the issue width or a
+        // memory port blocked a ready entry.
         let mut next_wake = u64::MAX;
-        // Every entry older than `first_unissued_seq` is already issued, so
-        // the select scan can skip the (often long) issued prefix outright.
-        // Entries merely continue'd over in the original full scan, so
-        // starting past them is timing-identical.
-        let mut i =
-            (self.first_unissued_seq.saturating_sub(self.head_seq) as usize).min(self.rob.len());
-        // First index (if any) left unissued — including entries we stop
-        // scanning at — becomes next cycle's scan start.
-        let mut new_first: Option<usize> = None;
-        while i < self.rob.len() {
-            if issued >= self.cfg.issue_width {
-                new_first.get_or_insert(i);
-                next_wake = next_wake.min(now + 1);
-                break;
+        let words = self.armed.len();
+        let head = self.slot(self.head_seq);
+        let (first_word, first_bit) = (head / 64, head % 64);
+        // Word `first_word` is visited twice: its bits at and above the
+        // head slot first (the oldest entries), the ones below it last
+        // (the youngest, wrapped around the ring).
+        'select: for k in 0..=words {
+            let w = (first_word + k) % words;
+            let mut bits = self.armed[w];
+            if k == 0 {
+                bits &= u64::MAX << first_bit;
+            } else if k == words {
+                bits &= (1u64 << first_bit) - 1;
             }
-            // Fast path: one packed word per entry answers "can this
-            // possibly issue now?" without touching the wide `RobEntry`.
-            // The wide entry is only read on the (rare) paths that
-            // recompute readiness or actually issue.
-            let key = self.scan_key[i];
-            if key >= KEY_ISSUED {
-                i += 1;
-                continue;
-            }
-            considered += 1;
-            if considered > self.cfg.rs_entries {
-                new_first.get_or_insert(i);
-                // Out-of-window entries only enter the window after an
-                // issue, which already forces a `now + 1` rescan.
-                break; // beyond the scheduling window
-            }
-            // Dependences: earliest cycle every producer is available
-            // (`u64::MAX` = some producer is unissued). A memoized
-            // `scan_key` can stand in for the fold verbatim:
-            //
-            // * a **finite** key still in the future was driven by an
-            //   issued producer whose `complete > now`, so that producer
-            //   cannot have committed and its completion time is fixed —
-            //   recomputing would reproduce the same value;
-            // * a [`KEY_CHAIN`] key means some producer was unissued,
-            //   which can only change at an issue event on this core
-            //   (and producers are always older, i.e. scanned earlier, so
-            //   a mid-scan issue is visible to every later recompute) —
-            //   the key holds while its stamped epoch matches
-            //   `issue_epoch`.
-            //
-            // Either way the fold would return the cached answer, so
-            // skipping it is timing-identical; it only saves the two
-            // random-access producer lookups per blocked entry per scan.
-            if key >= KEY_CHAIN {
-                if key - KEY_CHAIN == self.issue_epoch {
-                    new_first.get_or_insert(i);
-                    i += 1;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if issued >= self.cfg.issue_width {
+                    next_wake = next_wake.min(now + 1);
+                    break 'select;
+                }
+                #[cfg(test)]
+                {
+                    self.select_visits += 1;
+                }
+                let ready_at = self.rob[slot].ready_at;
+                if ready_at > now {
+                    next_wake = next_wake.min(ready_at);
                     continue;
                 }
-            } else if key > now {
-                next_wake = next_wake.min(key);
-                new_first.get_or_insert(i);
-                i += 1;
-                continue;
-            }
-            let entry = self.rob[i];
-            let ready_at = entry
-                .producers
-                .iter()
-                .flatten()
-                .fold(0u64, |t, &p| t.max(self.producer_ready_at(p)));
-            if ready_at > now {
-                new_first.get_or_insert(i);
-                self.scan_key[i] = if ready_at == u64::MAX {
-                    KEY_CHAIN | self.issue_epoch
-                } else {
-                    next_wake = next_wake.min(ready_at);
-                    ready_at
-                };
-                i += 1;
-                continue;
-            }
-            // Structural hazards.
-            let is_mem = entry.kind.is_memory();
-            if is_mem && mem_issued >= self.cfg.mem_ports {
-                new_first.get_or_insert(i);
-                next_wake = next_wake.min(now + 1);
-                i += 1;
-                continue;
-            }
-            let is_div = matches!(entry.kind, UopKind::IntDiv | UopKind::FpDiv);
-            if is_div && self.div_free > now {
-                new_first.get_or_insert(i);
-                next_wake = next_wake.min(self.div_free);
-                i += 1;
-                continue;
-            }
+                let entry = self.rob[slot];
+                // Structural hazards.
+                let is_mem = entry.kind.is_memory();
+                if is_mem && mem_issued >= self.cfg.mem_ports {
+                    next_wake = next_wake.min(now + 1);
+                    continue;
+                }
+                let is_div = matches!(entry.kind, UopKind::IntDiv | UopKind::FpDiv);
+                if is_div && self.div_free > now {
+                    next_wake = next_wake.min(self.div_free);
+                    continue;
+                }
 
-            // Execute.
-            let complete = match entry.kind {
-                UopKind::Load => self.execute_load(&entry, now, backend),
-                UopKind::Store => self.execute_store(&entry, now, backend),
-                UopKind::Branch => now + 1,
-                k => now + u64::from(k.latency()),
-            };
-            if is_div {
-                self.div_free = complete;
+                // Execute.
+                let complete = match entry.kind {
+                    UopKind::Load => self.execute_load(&entry, now, backend),
+                    UopKind::Store => self.execute_store(&entry, now, backend),
+                    UopKind::Branch => now + 1,
+                    k => now + u64::from(k.latency()),
+                };
+                if is_div {
+                    self.div_free = complete;
+                }
+                if entry.kind == UopKind::Branch && entry.mispredicted {
+                    // Frontend redirect: fetch resumes after resolve + penalty.
+                    self.fetch_stall_until = self
+                        .fetch_stall_until
+                        .max(complete + self.cfg.mispredict_penalty);
+                    self.fetch_blocked = false;
+                }
+                self.mark_issued(slot, complete);
+                issued += 1;
+                if is_mem {
+                    mem_issued += 1;
+                }
             }
-            if entry.kind == UopKind::Branch && entry.mispredicted {
-                // Frontend redirect: fetch resumes after resolve + penalty.
-                self.fetch_stall_until = self
-                    .fetch_stall_until
-                    .max(complete + self.cfg.mispredict_penalty);
-                self.fetch_blocked = false;
-            }
-            let e = &mut self.rob[i];
-            e.issued = true;
-            e.complete = complete;
-            debug_assert!(complete < KEY_CHAIN, "cycle overflows scan_key packing");
-            self.scan_key[i] = KEY_ISSUED | complete;
-            self.unissued -= 1;
-            issued += 1;
-            if is_mem {
-                mem_issued += 1;
-            }
-            i += 1;
         }
-        self.first_unissued_seq = self.head_seq + new_first.unwrap_or(self.rob.len()) as u64;
-        // Anything issued this cycle may wake dependents and shifts the
-        // scheduling window, so rescan next cycle; otherwise sleep until
-        // the earliest gathered wake source (dispatch also wakes us).
-        if issued > 0 {
-            self.issue_epoch += 1;
-        }
+        // Anything issued this cycle may wake dependents, so select again
+        // next cycle; otherwise sleep until the earliest gathered wake
+        // source (dispatch also wakes us).
         self.issue_wake = if issued > 0 { now + 1 } else { next_wake };
+    }
+
+    /// Marks the entry in `slot` issued with result time `complete`,
+    /// disarms it, and passes the result time to every entry waiting on
+    /// it, arming those left with no unissued producer.
+    fn mark_issued(&mut self, slot: usize, complete: u64) {
+        let e = &mut self.rob[slot];
+        e.issued = true;
+        e.complete = complete;
+        let mut link = std::mem::replace(&mut e.deps, NO_DEP);
+        self.armed[slot / 64] &= !(1 << (slot % 64));
+        self.unissued -= 1;
+        while link != NO_DEP {
+            let (dep, operand) = ((link >> 1) as usize, (link & 1) as usize);
+            let d = &mut self.rob[dep];
+            link = d.dep_next[operand];
+            d.ready_at = d.ready_at.max(complete);
+            d.waiting -= 1;
+            if d.waiting == 0 {
+                self.armed[dep / 64] |= 1 << (dep % 64);
+            }
+        }
     }
 
     fn record_request(&mut self, index: u64, addr: u64, write: bool, instruction: bool) {
@@ -705,11 +693,10 @@ impl Core {
 
     fn dispatch_stage(&mut self, now: u64) {
         // `self.unissued` is maintained incrementally (incremented here,
-        // decremented in `issue_stage`) — same value the old full-ROB scan
-        // computed, without the per-cycle O(rob_entries) walk.
+        // decremented at issue), so dispatch never rescans the ROB.
         let mut window_free = self.cfg.rs_entries.saturating_sub(self.unissued);
         for _ in 0..self.cfg.decode_width {
-            if self.rob.len() >= self.cfg.rob_entries || window_free == 0 {
+            if self.rob_len() >= self.cfg.rob_entries || window_free == 0 {
                 break;
             }
             let Some(&fu) = self.fetch_buffer.front() else {
@@ -728,31 +715,48 @@ impl Core {
             self.fetch_buffer.pop_front();
             let seq = self.next_seq;
             self.next_seq += 1;
-            let mut producers = [None, None];
-            for (slot, src) in producers.iter_mut().zip(fu.uop.srcs) {
-                if let Some(r) = src {
-                    *slot = self.reg_producer[r as usize];
+            let slot = self.slot(seq);
+            let mut entry = RobEntry {
+                seq,
+                kind: fu.uop.kind,
+                addr: fu.uop.addr,
+                pc: fu.uop.pc,
+                mispredicted: fu.mispredicted,
+                ..EMPTY_ENTRY
+            };
+            // Operands: a committed producer's value is available, an
+            // issued one's at its completion; an unissued one gets this
+            // entry on its dependents list (once, if both sources name it).
+            let mut linked = None;
+            for (operand, src) in fu.uop.srcs.into_iter().enumerate() {
+                let Some(p) = src.and_then(|r| self.reg_producer[r as usize]) else {
+                    continue;
+                };
+                if p < self.head_seq || linked == Some(p) {
+                    continue;
+                }
+                let producer_slot = self.slot(p);
+                let producer = &mut self.rob[producer_slot];
+                if producer.issued {
+                    entry.ready_at = entry.ready_at.max(producer.complete);
+                } else {
+                    entry.dep_next[operand] = producer.deps;
+                    producer.deps = (slot as u32) << 1 | operand as u32;
+                    entry.waiting += 1;
+                    linked = Some(p);
                 }
             }
             if let Some(d) = fu.uop.dst {
                 self.reg_producer[d as usize] = Some(seq);
             }
-            self.rob.push_back(RobEntry {
-                seq,
-                kind: fu.uop.kind,
-                producers,
-                addr: fu.uop.addr,
-                pc: fu.uop.pc,
-                issued: false,
-                complete: 0,
-                mispredicted: fu.mispredicted,
-            });
-            // 0 = "readiness unknown": the scan recomputes on first look.
-            self.scan_key.push_back(0);
+            if entry.waiting == 0 {
+                self.armed[slot / 64] |= 1 << (slot % 64);
+            }
+            self.rob[slot] = entry;
             self.unissued += 1;
             window_free -= 1;
             // The new entry may be immediately issuable, and dispatch runs
-            // after issue within a tick — make sure next cycle scans it.
+            // after issue within a tick — make sure next cycle selects.
             self.issue_wake = self.issue_wake.min(now + 1);
         }
     }
@@ -1026,6 +1030,70 @@ mod tests {
         let (_, a) = run_core(p.clone(), 5_000, 30);
         let (_, b) = run_core(p, 5_000, 30);
         assert_eq!(a, b);
+    }
+
+    /// Runs `names` to completion on the experiments' 2-core machine,
+    /// ticking every cycle like the scalar driver.
+    fn run_pair(cfg: &CoreConfig, names: [&str; 2], n: u64) -> Vec<Core> {
+        use crate::backend::UncoreBackend;
+        use mps_uncore::{Uncore, UncoreConfig};
+        let uncore = Uncore::new(UncoreConfig::ispass2013_scaled(2, PolicyKind::Lru, 16), 2);
+        let mut backend = UncoreBackend(uncore);
+        let mut cores: Vec<Core> = names
+            .iter()
+            .enumerate()
+            .map(|(id, name)| {
+                let spec = mps_workloads::benchmark_by_name(name).expect("in suite");
+                Core::new(cfg.clone(), id, Box::new(spec.trace()), n)
+            })
+            .collect();
+        let mut cycle = 0;
+        while !cores.iter().all(Core::done) {
+            for core in &mut cores {
+                core.tick(cycle, &mut backend);
+            }
+            cycle += 1;
+            assert!(cycle < n * 10_000, "runaway simulation");
+        }
+        cores
+    }
+
+    #[test]
+    fn select_visits_few_entries_per_issued_uop() {
+        // Select looks only at armed entries (every producer issued), so
+        // its work per issued µop is a small constant: about 2 on this
+        // pair, where the polled window scan it replaced stepped over 8.
+        let cores = run_pair(&CoreConfig::ispass2013(), ["mcf", "libquantum"], 4_000);
+        for core in &cores {
+            // Every committed µop issued; µops still in flight only add
+            // issues, so this ratio bounds visits per issued µop.
+            let per_uop = core.select_visits as f64 / core.committed() as f64;
+            assert!(
+                per_uop < 3.0,
+                "core {}: {per_uop:.2} select visits per committed µop",
+                core.id()
+            );
+        }
+    }
+
+    #[test]
+    fn any_rob_size_runs_deterministically() {
+        // The ROB ring and the armed mask size themselves to the next
+        // power of two: a partial mask word (8), a non-power-of-two ROB
+        // (100) and a multi-word mask (256) all replay identically.
+        for rob_entries in [8, 100, 256] {
+            let cfg = CoreConfig {
+                rob_entries,
+                ..CoreConfig::ispass2013()
+            };
+            let run = || {
+                run_pair(&cfg, ["mcf", "povray"], 2_000)
+                    .iter()
+                    .map(|c| (c.finish_cycle(), c.committed(), c.stats()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run(), run(), "rob_entries = {rob_entries}");
+        }
     }
 
     #[test]

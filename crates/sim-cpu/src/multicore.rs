@@ -130,7 +130,6 @@ impl MulticoreSim {
     pub fn run(mut self, n: u64) -> SimResult {
         assert!(n > 0, "need a positive instruction count");
         let span = mps_obs::span("sim.detailed.run");
-        let ticks = mps_obs::counter("sim.detailed.core_ticks");
         let start = Instant::now();
         let k = self.traces.len();
         let mut cores: Vec<Core> = self
@@ -148,7 +147,6 @@ impl MulticoreSim {
             for core in &mut cores {
                 core.tick(cycle, &mut self.uncore);
             }
-            ticks.add(k as u64);
             for (c, core) in cores.iter().enumerate() {
                 let traffic = self.uncore.0.core_misses(c) + self.uncore.0.core_prefetches(c);
                 if midpoint[c].is_none() && core.committed() >= n / 2 {
@@ -175,10 +173,10 @@ impl MulticoreSim {
             .collect();
         let instructions = cores.iter().map(Core::committed).sum();
         flush_obs(instructions, cycle, &cores, &self.uncore.0.stats());
-        span.finish();
+        mps_obs::counter("sim.detailed.core_ticks").add(cycle * k as u64);
         let llc_misses_per_core = (0..k).map(|c| self.uncore.0.core_misses(c)).collect();
         let llc_prefetches_per_core = (0..k).map(|c| self.uncore.0.core_prefetches(c)).collect();
-        SimResult {
+        let result = SimResult {
             ipc,
             finish_cycles,
             total_cycles: cycle,
@@ -196,14 +194,18 @@ impl MulticoreSim {
                 .collect(),
             uncore_stats: self.uncore.0.stats(),
             wall_seconds: start.elapsed().as_secs_f64().max(1e-9),
-        }
+        };
+        // The uncore flushes its `uncore.*` counters on drop: inside the
+        // run's span, like the per-run counters above.
+        drop(self);
+        span.finish();
+        result
     }
 }
 
 /// Flushes one finished run's pipeline and uncore statistics into the
 /// process-global `sim.detailed.*` observability counters. Counters are
-/// bumped once per run (not per event), so the hot loop stays clean; the
-/// only per-cycle instrumentation is the `core_ticks` counter above.
+/// bumped once per run (not per event), so the hot loop stays clean.
 pub(crate) fn flush_obs(instructions: u64, cycles: u64, cores: &[Core], uncore: &UncoreStats) {
     mps_obs::counter("sim.detailed.runs").incr();
     mps_obs::counter("sim.detailed.instructions").add(instructions);

@@ -46,38 +46,10 @@ pub struct UncoreStats {
     pub prefetches: u64,
 }
 
-/// Process-global observability counters for uncore events, resolved once
-/// per [`Uncore`] so the per-access cost is one relaxed atomic add (zero
-/// with the `obs` feature off).
-#[derive(Debug, Clone, Copy)]
-struct ObsCounters {
-    accesses: mps_obs::Counter,
-    hits: mps_obs::Counter,
-    misses: mps_obs::Counter,
-    mshr_merges: mps_obs::Counter,
-    prefetches: mps_obs::Counter,
-    evictions: mps_obs::Counter,
-    writebacks: mps_obs::Counter,
-}
-
-impl ObsCounters {
-    fn new() -> Self {
-        ObsCounters {
-            accesses: mps_obs::counter("uncore.llc.accesses"),
-            hits: mps_obs::counter("uncore.llc.hits"),
-            misses: mps_obs::counter("uncore.llc.misses"),
-            mshr_merges: mps_obs::counter("uncore.mshr.merges"),
-            prefetches: mps_obs::counter("uncore.prefetches"),
-            evictions: mps_obs::counter("uncore.llc.evictions"),
-            writebacks: mps_obs::counter("uncore.llc.writebacks"),
-        }
-    }
-}
-
 /// Per-lane mutable uncore state for batched simulation: everything the
 /// scalar uncore owned besides the LLC arrays (which are lane-interleaved
-/// inside [`Cache`]) and the process-global obs counters. One lane is one
-/// independent simulated machine; lanes never read each other's state.
+/// inside [`Cache`]). One lane is one independent simulated machine;
+/// lanes never read each other's state.
 #[derive(Debug)]
 struct LaneState {
     /// Cores attached to this lane's machine.
@@ -149,7 +121,6 @@ pub struct Uncore {
     cfg: UncoreConfig,
     llc: Cache,
     lanes: Vec<LaneState>,
-    obs: ObsCounters,
 }
 
 /// Translates a core-local byte address to a global physical line number.
@@ -186,12 +157,7 @@ impl Uncore {
             .iter()
             .map(|&c| LaneState::new(&cfg, c))
             .collect();
-        Uncore {
-            cfg,
-            llc,
-            lanes,
-            obs: ObsCounters::new(),
-        }
+        Uncore { cfg, llc, lanes }
     }
 
     /// The configuration in use.
@@ -229,17 +195,11 @@ impl Uncore {
 
     /// [`Uncore::access`] against one batch lane.
     pub fn access_lane(&mut self, l: usize, core: usize, addr: u64, write: bool, now: u64) -> u64 {
-        let Uncore {
-            cfg,
-            llc,
-            lanes,
-            obs,
-        } = self;
+        let Uncore { cfg, llc, lanes } = self;
         let lane = &mut lanes[l];
         let line = phys_line(cfg, lane.cores, core, addr);
         lane.stats.requests += 1;
         lane.core_accesses[core] += 1;
-        obs.accesses.incr();
 
         // Port arbitration: one request enters per cycle.
         let start = now.max(lane.port_free);
@@ -251,7 +211,6 @@ impl Uncore {
         // MSHR merge: a miss to an in-flight line piggybacks on it.
         if let Some(done) = lane.pending_done(line) {
             lane.stats.mshr_merges += 1;
-            obs.mshr_merges.incr();
             return done.max(t_hit);
         }
 
@@ -260,17 +219,14 @@ impl Uncore {
         } else {
             AccessType::Read
         };
-        let evictions_before = llc.stats_lane(l).evictions;
         match llc.access_lane(l, line, kind) {
             AccessOutcome::Hit => {
                 lane.stats.llc_hits += 1;
-                obs.hits.incr();
                 t_hit
             }
             AccessOutcome::Miss { writeback } => {
                 lane.stats.llc_misses += 1;
                 lane.core_misses[core] += 1;
-                obs.misses.incr();
 
                 // MSHR occupancy: wait until one frees if all are busy.
                 let mut issue = t_hit;
@@ -289,7 +245,6 @@ impl Uncore {
                 }
 
                 if writeback.is_some() {
-                    obs.writebacks.incr();
                     // Dirty victim: its writeback occupies a write-buffer
                     // entry until the bus carries it out; a full buffer
                     // stalls the miss (Table II: 8 entries).
@@ -316,7 +271,6 @@ impl Uncore {
                         if !llc.probe_lane(l, pf_line) && lane.pending_done(pf_line).is_none() {
                             lane.stats.prefetches += 1;
                             lane.core_prefetches[core] += 1;
-                            obs.prefetches.incr();
                             // Prefetch fills consume memory bandwidth but
                             // nobody waits on them.
                             let pf_done = lane.mem.read_line(issue);
@@ -328,8 +282,6 @@ impl Uncore {
                         }
                     }
                 }
-                obs.evictions
-                    .add(llc.stats_lane(l).evictions - evictions_before);
                 done
             }
         }
@@ -348,12 +300,7 @@ impl Uncore {
 
     /// [`Uncore::prefetch`] against one batch lane.
     pub fn prefetch_lane(&mut self, l: usize, core: usize, addr: u64, now: u64) -> Option<u64> {
-        let Uncore {
-            cfg,
-            llc,
-            lanes,
-            obs,
-        } = self;
+        let Uncore { cfg, llc, lanes } = self;
         let lane = &mut lanes[l];
         let line = phys_line(cfg, lane.cores, core, addr);
         lane.drain(now);
@@ -368,18 +315,13 @@ impl Uncore {
         }
         lane.stats.prefetches += 1;
         lane.core_prefetches[core] += 1;
-        obs.prefetches.incr();
         let done = lane.mem.read_line(now);
-        let evictions_before = llc.stats_lane(l).evictions;
         if let AccessOutcome::Miss { writeback: Some(_) } =
             llc.access_lane(l, line, AccessType::Prefetch)
         {
-            obs.writebacks.incr();
             let freed = lane.mem.write_line(done);
             lane.wb_pending.push(freed);
         }
-        obs.evictions
-            .add(llc.stats_lane(l).evictions - evictions_before);
         lane.pending.push((line, done));
         Some(done)
     }
@@ -446,6 +388,28 @@ impl Uncore {
     /// (reads, writes) that reached memory from one batch lane.
     pub fn memory_traffic_lane(&self, lane: usize) -> (u64, u64) {
         self.lanes[lane].mem.traffic()
+    }
+}
+
+/// Adds this uncore's lifetime event counts, summed over its lanes, to
+/// the process-global `uncore.*` observability counters. Counting once
+/// per uncore keeps shared atomics out of the per-access path; every
+/// simulator run owns its uncore, so the counts land when the run ends.
+impl Drop for Uncore {
+    fn drop(&mut self) {
+        let lanes = |f: fn(&UncoreStats) -> u64| self.lanes.iter().map(|l| f(&l.stats)).sum();
+        let llc = |f: fn(&CacheStats) -> u64| {
+            (0..self.lanes.len())
+                .map(|l| f(&self.llc.stats_lane(l)))
+                .sum()
+        };
+        mps_obs::counter("uncore.llc.accesses").add(lanes(|s| s.requests));
+        mps_obs::counter("uncore.llc.hits").add(lanes(|s| s.llc_hits));
+        mps_obs::counter("uncore.llc.misses").add(lanes(|s| s.llc_misses));
+        mps_obs::counter("uncore.mshr.merges").add(lanes(|s| s.mshr_merges));
+        mps_obs::counter("uncore.prefetches").add(lanes(|s| s.prefetches));
+        mps_obs::counter("uncore.llc.evictions").add(llc(|s| s.evictions));
+        mps_obs::counter("uncore.llc.writebacks").add(llc(|s| s.writebacks));
     }
 }
 
